@@ -138,19 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scoring worker threads (default 2)")
     scan.add_argument("--batch-size", type=int, default=64,
                       help="micro-batch size for gadget scoring")
-    scan.add_argument("--dtype",
-                      choices=("float32", "float16", "int8"),
-                      default="float32",
-                      help="inference weight representation: float16 "
-                           "halves the weight payload, int8 quantizes "
-                           "weight matrices per tensor; the accuracy "
-                           "cost is measured on a held-out calibration "
-                           "corpus and printed (default: float32, the "
-                           "training precision)")
-    scan.add_argument("--calibration-cases", type=int, default=24,
-                      help="held-out synthetic programs used to "
-                           "measure the quantization guardband when "
-                           "--dtype is reduced (default 24)")
     scan.add_argument("--jsonl", type=Path, default=None,
                       help="write one JSON record per case (verdicts; "
                            "in --diff/--watch mode: verdict deltas) "
@@ -204,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="run the always-on scan server (shared model, "
-             "process-backed scoring, verdict cache)")
+             "batched scoring, verdict cache)")
     serve.add_argument("--model", type=Path, required=True)
     serve.add_argument("--socket", type=Path, default=None,
                        help="listen on this unix socket path "
@@ -215,27 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP bind port (0 picks a free one, "
                             "printed on startup)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="scorer workers (processes for the "
-                            "default backend)")
+                       help="scoring worker threads (default 2)")
     serve.add_argument("--batch-size", type=int, default=64,
                        help="micro-batch size for gadget scoring")
-    serve.add_argument("--scorer",
-                       choices=("process", "thread"),
-                       default="process",
-                       help="scoring backend (default: worker "
-                            "processes over shared-memory "
-                            "weights)")
     serve.add_argument("--max-pending", type=int, default=64,
                        help="per-client in-flight budget; scans "
                             "over it are shed immediately")
-    serve.add_argument("--max-restarts", type=int, default=3,
-                       help="dead scorer workers respawned per "
-                            "--restart-window before the service "
-                            "falls back to degraded in-process "
-                            "scoring (0 disables self-healing)")
-    serve.add_argument("--restart-window", type=float, default=30.0,
-                       help="sliding window (seconds) for the "
-                            "--max-restarts budget")
     serve.add_argument("--dispatchers", type=int, default=2,
                        help="dispatcher threads batching admitted "
                             "requests into scan_cases calls")
@@ -451,13 +423,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     detector.load(args.model)
     if args.threshold is not None:
         detector.threshold = args.threshold
-    calibration = None
-    if args.dtype != "float32" \
-            and args.dtype != detector.inference_dtype:
-        # a held-out corpus (seed disjoint from train defaults) so the
-        # printed guardband is measured, not assumed
-        calibration = generate_sard_corpus(
-            max(args.calibration_cases, 1), seed=9091)
     fn_cache_dir = args.fn_cache_dir
     temp_fn_cache = None
     if fn_cache_dir is None and (args.diff is not None or args.watch):
@@ -468,8 +433,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         fn_cache_dir = Path(temp_fn_cache.name)
     try:
         with ScanService(detector, workers=args.workers,
-                         batch_size=args.batch_size, dtype=args.dtype,
-                         calibration=calibration,
+                         batch_size=args.batch_size,
                          fn_cache=fn_cache_dir) as service:
             if args.diff is not None:
                 return _cmd_scan_diff(args, service)
@@ -517,14 +481,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     print(f"scanned {len(verdicts)} case(s): {flagged} flagged, "
           f"{clean} clean, {skipped} skipped "
           f"({stats['cases_per_sec']:.1f} cases/s)")
-    report = detector.quantization_report
-    if report is not None:
-        print(f"  dtype={report.dtype}: weights "
-              f"{report.weights_nbytes_before} -> "
-              f"{report.payload_nbytes} bytes; guardband max "
-              f"|dprob|={report.max_abs_delta:.2e} "
-              f"verdict flips={report.flips}/"
-              f"{report.calibration_samples}")
     if args.stats:
         latency = stats["latency_seconds"]
         fill = stats["batch_fill"]
@@ -544,12 +500,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"  result cache: {cache['hits']} hit(s), "
               f"{cache['misses']} miss(es) "
               f"(rate {cache['hit_rate']:.2f})")
-        resilience = stats["resilience"]
-        print(f"  resilience: health={resilience['health']} "
-              f"scorer={resilience['scorer']}, "
-              f"{resilience['respawns']} respawn(s), "
-              f"{resilience['fallbacks']} fallback(s), "
-              f"{resilience['retries']} rescored submit(s)")
         print(service.telemetry.summary())
     return exit_code
 
@@ -697,15 +647,9 @@ def _cmd_scan_connect(args: argparse.Namespace) -> int:
         print(f"  server: {server['scans']} scan(s), "
               f"{server['shed']} shed, {server['reloads']} "
               f"reload(s), {server['clients']} client(s), "
-              f"scorer={server['scorer']}, "
+              f"{server['deadline_expired']} deadline-expired, "
+              f"{server['conn_drops']} conn drop(s), "
               f"health={server['health']}")
-        resilience = service.get("resilience")
-        if resilience:
-            print(f"  resilience: {resilience['respawns']} "
-                  f"respawn(s), {resilience['fallbacks']} "
-                  f"fallback(s), {server['deadline_expired']} "
-                  f"deadline-expired, {server['conn_drops']} "
-                  f"conn drop(s)")
         if fill.get("count"):
             print(f"  batch fill mean={fill['mean']:.2f} "
                   f"p95={fill['p95']:.2f}")
@@ -717,7 +661,6 @@ def _cmd_scan_connect(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .core.scorer_pool import RestartPolicy
     from .core.server import ScanServer
 
     server = ScanServer(
@@ -727,17 +670,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=(None if args.socket is not None
               else (args.host or "127.0.0.1")),
         port=args.port, workers=args.workers,
-        batch_size=args.batch_size, scorer=args.scorer,
+        batch_size=args.batch_size,
         max_pending=args.max_pending, dispatchers=args.dispatchers,
-        cache_capacity=args.cache_capacity,
-        restart_policy=RestartPolicy(
-            max_restarts=args.max_restarts,
-            window_s=args.restart_window))
+        cache_capacity=args.cache_capacity)
     server.start()
     # announced on stdout so wrappers (and the benchmark harness) can
     # learn the picked TCP port; flush before blocking forever
-    print(f"serving on {server.address} "
-          f"(scorer={args.scorer}, workers={args.workers})",
+    print(f"serving on {server.address} (workers={args.workers})",
           flush=True)
     try:
         server.serve_forever()

@@ -12,15 +12,15 @@ editor integrations):
   :class:`~repro.core.resilience.Quarantine` exactly like ``fit``, so
   repeated scans of unchanged files skip the frontend and known-poison
   cases are skipped up front;
-* gadget scoring flows through a micro-batching :class:`Scorer`
-  (thread-backed :class:`ThreadScorer` or process-backed
-  :class:`ProcessScorer`): submissions from any number of cases are
-  drained from a bounded queue, grouped by padded
-  length, and scored in large batches under ``no_grad``.  Because
-  :func:`~repro.nn.data.bucketed_batches` groups by *exact* length, a
-  row's padded representation — and therefore its score — never
-  depends on which batch it lands in: verdicts are byte-identical to
-  serial :meth:`~repro.core.detector.SEVulDet.detect_case` calls
+* gadget scoring flows through a micro-batching :class:`Scorer`:
+  worker threads drain submissions from any number of cases off a
+  bounded queue, group them by padded length, and score them in large
+  batches under ``no_grad``.  Grouping by *exact* length means a row's
+  padded representation never depends on which batch it lands in, so
+  verdicts, findings and lines are identical to serial
+  :meth:`~repro.core.detector.SEVulDet.detect_case` calls and scores
+  agree with them to float32 rounding: a batch that mixes cases hands
+  BLAS a different shape, which can move a score's last float32 bit
   (pinned by ``tests/core/test_serve.py``);
 * whole-case verdicts are memoized in a thread-safe LRU
   (:class:`ResultCache`) keyed on the case's content fingerprint plus
@@ -33,20 +33,11 @@ Telemetry (queue depth, batch fill, per-case latency, cases/sec, cache
 hit rates) accumulates on a service-lifetime
 :class:`~repro.core.telemetry.Telemetry`; :meth:`ScanService.stats`
 summarizes it and the CLI prints it under ``scan --stats``.
-
-The service self-heals (PR 8): the process pool respawns dead workers
-and resubmits their batches under a bounded
-:class:`~repro.core.scorer_pool.RestartPolicy`; if the pool breaks
-anyway, the service demotes down the circuit-breaker chain
-``process → thread → inline`` (:data:`_FALLBACK_CHAIN`) and rescores
-affected cases there — slower, byte-identical verdicts, never a lost
-one.  :meth:`ScanService.health` reports ``ready`` / ``degraded`` /
-``draining`` and ``stats()["resilience"]`` carries the
-respawn/fallback/retry counters.
 """
 
 from __future__ import annotations
 
+import itertools
 import queue
 import threading
 import time
@@ -59,17 +50,15 @@ import numpy as np
 
 from ..datasets.manifest import TestCase
 from ..nn import no_grad, pad_or_truncate
-from ..nn.dtype import coerce_inference_dtype
+from ..testing import faults
 from .detector import Finding, SEVulDet
 from .engine import Engine, ExtractStage, RunContext, Stage
 from .extract import CaseResult
 from .score import SCORE_MIN_LENGTH
-from .scorer_pool import PoolBroken, RestartPolicy, ScorerPool
 from .telemetry import Telemetry
 
 __all__ = ["CaseVerdict", "ResultCache", "ShardedResultCache",
-           "ScanService", "Scorer", "ThreadScorer", "ProcessScorer",
-           "InlineScorer", "PoolBroken", "expand_scan_paths",
+           "ScanService", "Scorer", "expand_scan_paths",
            "case_for_file"]
 
 
@@ -256,17 +245,14 @@ class _Pending:
     the waiter wakes once the last row lands.
     """
 
-    __slots__ = ("rows", "scores", "error", "done", "scorer",
-                 "_lock", "_remaining")
+    __slots__ = ("rows", "scores", "error", "done", "_lock",
+                 "_remaining")
 
     def __init__(self, rows: list[list[int]]):
         self.rows = rows  # padded token-id rows
         self.scores = np.zeros(len(rows))
         self.error: BaseException | None = None
         self.done = threading.Event()
-        #: the scorer that accepted this case — lets the service
-        #: resubmit the rows elsewhere when that scorer's pool breaks
-        self.scorer: "Scorer | None" = None
         self._lock = threading.Lock()
         self._remaining = len(rows)
         if not rows:
@@ -296,84 +282,71 @@ _STOP = object()
 
 
 class Scorer:
-    """Micro-batching scorer interface behind :class:`ScanService`.
+    """Micro-batching scorer behind :class:`ScanService`.
 
-    Case submissions land in a bounded queue; a drain loop blocks for
-    one, then greedily takes more until it holds ``batch_size * 4``
-    rows — under load batches fill to ``batch_size``, under trickle
-    traffic a lone case is scored immediately (no
-    latency-vs-throughput timer to tune).  Rows from all drained cases
-    are grouped by their padded length (identical to the serial
-    scorer's bucketing, so scores are byte-identical to
-    :func:`~repro.core.score.predict_proba`) and scored in chunks of
-    ``batch_size`` under ``no_grad``.
-
-    Two backends share that policy and differ only in where the
-    forward pass runs:
-
-    * :class:`ThreadScorer` — N worker threads in-process.  Zero setup
-      cost, but numpy-bound forwards contend on the GIL between the
-      pure-Python stretches.
-    * :class:`ProcessScorer` — N worker *processes* with the model
-      weights mapped once into shared memory.  The forward pass
-      escapes the GIL entirely; this is the scan server's backend.
+    Case submissions land in a bounded queue; each of ``workers``
+    threads blocks for one, then greedily takes more until it holds
+    ``batch_size * 4`` rows — under load batches fill to
+    ``batch_size``, under trickle traffic a lone case is scored
+    immediately (no latency-vs-throughput timer to tune).  Rows from
+    all drained cases are grouped by their padded length (the serial
+    scorer's bucketing) and scored in chunks of ``batch_size`` under
+    ``no_grad``.  A row's score can still move in the last float32
+    bit with its batch-mates, because the BLAS call that scores it
+    sums in a shape-dependent order.
     """
 
-    def __init__(self, batch_size: int, workers: int, telemetry):
+    def __init__(self, model, batch_size: int, workers: int,
+                 telemetry):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        self.model = model
         self.batch_size = batch_size
         self.workers = workers
         self.telemetry = telemetry
         self._queue: queue.Queue = queue.Queue(
             maxsize=max(workers * 16, 64))
         self._closed = False
-
-    # -- submission ----------------------------------------------------------
-
-    def _make_pending(self,
-                      samples: Sequence[Sequence[int]]) -> _Pending:
-        """Pad rows and tag the pending with its accepting scorer.
-
-        Padding is idempotent (``max(len(ids), SCORE_MIN_LENGTH)`` is
-        a no-op on an already-padded row), so a pending's rows can be
-        resubmitted verbatim to a fallback scorer and still produce
-        byte-identical scores.
-        """
-        pending = _Pending([
-            pad_or_truncate(ids, max(len(ids), SCORE_MIN_LENGTH))
-            for ids in samples
-        ])
-        pending.scorer = self
-        return pending
+        #: per-scorer batch numbering: the ``score-batch`` fault key
+        self._batch_ids = itertools.count(1)
+        self._threads = [
+            threading.Thread(target=self._worker, daemon=True,
+                             name=f"scan-scorer-{i}")
+            for i in range(workers)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     def submit(self, samples: Sequence[Sequence[int]]) -> _Pending:
         """Queue one case's token-id sequences for scoring."""
         if self._closed:
             raise RuntimeError("scorer is closed")
-        pending = self._make_pending(samples)
+        pending = _Pending([
+            pad_or_truncate(ids, max(len(ids), SCORE_MIN_LENGTH))
+            for ids in samples
+        ])
         if pending.rows:
             self.telemetry.observe("scan_queue_depth",
                                    self._queue.qsize())
             self._queue.put(pending)
         return pending
 
-    def health(self) -> dict:
-        """Backend health; overridden where workers can die."""
-        return {"status": "closed" if self._closed else "ok"}
-
     def close(self) -> None:
-        raise NotImplementedError
+        """Score what is queued, then join the workers (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        self._queue.put(_STOP)
+        for thread in self._threads:
+            thread.join()
 
     def __enter__(self) -> "Scorer":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    # -- shared batching policy ----------------------------------------------
 
     def _drain(self) -> list[_Pending] | None:
         """Block for one submission, then greedily take more; None
@@ -415,39 +388,6 @@ class Scorer:
                     dtype=np.int64)
                 yield chunk, ids
 
-    def _record_batch(self, chunk) -> None:
-        self.telemetry.observe("scan_batch_fill",
-                               len(chunk) / self.batch_size)
-        self.telemetry.count("scan_batches")
-        self.telemetry.count("scan_scored_gadgets", len(chunk))
-
-    def _poison(self) -> None:
-        self._queue.put(_STOP)
-
-
-class ThreadScorer(Scorer):
-    """In-process backend: worker threads score under ``no_grad``."""
-
-    def __init__(self, model, batch_size: int, workers: int,
-                 telemetry):
-        super().__init__(batch_size, workers, telemetry)
-        self.model = model
-        self._threads = [
-            threading.Thread(target=self._worker, daemon=True,
-                             name=f"scan-scorer-{i}")
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._poison()
-        for thread in self._threads:
-            thread.join()
-
     def _worker(self) -> None:
         while True:
             jobs = self._drain()
@@ -456,144 +396,22 @@ class ThreadScorer(Scorer):
             with no_grad():
                 for chunk, ids in self._grouped(jobs):
                     try:
+                        # chaos site: hang = slow worker, raise =
+                        # per-batch scoring error
+                        faults.fire("score-batch",
+                                    str(next(self._batch_ids)))
                         scores = self.model.predict_proba(ids)
                     except BaseException as error:  # surface to caller
                         for pending, _ in chunk:
                             pending._fail(error)
                         continue
-                    self._record_batch(chunk)
+                    self.telemetry.observe(
+                        "scan_batch_fill", len(chunk) / self.batch_size)
+                    self.telemetry.count("scan_batches")
+                    self.telemetry.count("scan_scored_gadgets",
+                                         len(chunk))
                     for (pending, index), score in zip(chunk, scores):
                         pending._complete(index, float(score))
-
-
-class ProcessScorer(Scorer):
-    """Multi-process backend: the GIL-free scoring path.
-
-    The parent keeps the batching policy (one dispatcher thread drains
-    the submission queue and forms length-grouped batches — identical
-    grouping to :class:`ThreadScorer`, so scores stay byte-identical)
-    and feeds batches to a shared
-    :class:`~repro.core.scorer_pool.ScorerPool` — the one process-pool
-    implementation this backend shares with the engine's
-    ``ScoreStage(workers=N)`` mode.  Model weights cross the process
-    boundary once, as a :class:`~repro.nn.serialize.SharedWeights`
-    block every worker maps read-only; the pool's collector thread
-    routes results back to their :class:`_Pending` entries and fails
-    affected scans when workers die instead of hanging them.
-    """
-
-    def __init__(self, model, batch_size: int, workers: int,
-                 telemetry, *, start_method: str = "spawn",
-                 restart_policy: RestartPolicy | None = None):
-        super().__init__(batch_size, workers, telemetry)
-        self._pool = ScorerPool(model, workers,
-                                start_method=start_method,
-                                restart_policy=restart_policy,
-                                telemetry=telemetry)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch, daemon=True,
-            name="scan-scorer-dispatch")
-        self._dispatcher.start()
-
-    def submit(self, samples: Sequence[Sequence[int]]) -> _Pending:
-        if self._pool.broken is not None:
-            raise PoolBroken(
-                f"scorer workers died: {self._pool.broken}")
-        return super().submit(samples)
-
-    def health(self) -> dict:
-        if self._closed:
-            return {"status": "closed"}
-        return self._pool.health()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._poison()
-        self._dispatcher.join()  # drains queued submissions first
-        self._pool.close()
-
-    def _infra_failure(self, message: str) -> RuntimeError:
-        """Typed failure: pool breakage (retryable on a fallback
-        backend) vs a per-job model error (would recur anywhere)."""
-        if self._pool.broken is not None:
-            return PoolBroken(message)
-        return RuntimeError(message)
-
-    def _dispatch(self) -> None:
-        while True:
-            jobs = self._drain()
-            if jobs is None:
-                return
-            for chunk, ids in self._grouped(jobs):
-                self._record_batch(chunk)
-                try:
-                    self._pool.submit(ids, chunk, self._deliver)
-                except RuntimeError as error:
-                    # pool broken mid-drain: fail this chunk instead
-                    # of dropping it silently
-                    failure = self._infra_failure(str(error))
-                    for pending, _ in chunk:
-                        pending._fail(failure)
-
-    def _deliver(self, chunk, scores, error) -> None:
-        """Pool callback: route one batch's result to its cases."""
-        if error is not None:
-            failure = self._infra_failure(
-                f"scorer worker failed: {error}")
-            for pending, _ in chunk:
-                pending._fail(failure)
-            return
-        for (pending, index), score in zip(chunk, scores):
-            pending._complete(index, float(score))
-
-
-class InlineScorer(Scorer):
-    """Terminal fallback: serial ``predict_proba`` on the submitting
-    thread.
-
-    No queue, no workers — :meth:`submit` scores the case before
-    returning, with the same length-grouping as the batched backends,
-    so verdicts stay byte-identical while the only remaining failure
-    domain is the caller's own thread.  Slow under load by design:
-    this is the degraded mode that keeps a scan answering after both
-    process and thread backends are gone.
-    """
-
-    def __init__(self, model, batch_size: int, workers: int,
-                 telemetry):
-        super().__init__(batch_size, workers, telemetry)
-        self.model = model
-
-    def submit(self, samples: Sequence[Sequence[int]]) -> _Pending:
-        if self._closed:
-            raise RuntimeError("scorer is closed")
-        pending = self._make_pending(samples)
-        if pending.rows:
-            with no_grad():
-                for chunk, ids in self._grouped([pending]):
-                    try:
-                        scores = self.model.predict_proba(ids)
-                    except BaseException as error:
-                        for job, _ in chunk:
-                            job._fail(error)
-                        continue
-                    self._record_batch(chunk)
-                    for (job, index), score in zip(chunk, scores):
-                        job._complete(index, float(score))
-        return pending
-
-    def close(self) -> None:
-        self._closed = True
-
-
-_SCORER_BACKENDS = {"thread": ThreadScorer, "process": ProcessScorer,
-                    "inline": InlineScorer}
-
-#: Circuit-breaker demotion order: each step trades throughput for a
-#: smaller failure domain; verdicts stay byte-identical at every step.
-_FALLBACK_CHAIN = ("process", "thread", "inline")
 
 
 @dataclass
@@ -652,8 +470,10 @@ class ScanService:
             verdicts = scans.scan_cases(cases)
 
     The service is safe to call from multiple threads; per-case
-    verdicts are returned in submission order and are byte-identical
-    to serial ``detector.detect_case`` results.
+    verdicts are returned in submission order.  Their verdicts,
+    findings and lines are identical to serial ``detector.detect_case``
+    results, and their scores agree to float32 rounding (see
+    :class:`Scorer`).
     """
 
     def __init__(self, detector: SEVulDet, *, workers: int = 2,
@@ -662,17 +482,8 @@ class ScanService:
                  result_cache: ResultCache | ShardedResultCache
                  | None = None,
                  telemetry: Telemetry | None = None,
-                 scorer: str = "thread",
-                 dtype: str | None = None,
-                 calibration: Sequence[TestCase] | None = None,
-                 restart_policy: RestartPolicy | None = None,
                  fn_cache=None):
         model, self._vocab = detector._require_trained()
-        # Reduced-precision serving: quantize before the config token
-        # is computed, so cached verdicts can never cross dtypes.
-        if dtype is not None and \
-                coerce_inference_dtype(dtype) != detector.inference_dtype:
-            detector.quantize(dtype, calibration)
         model.eval()  # deterministic scoring: dropout off, once
         self.detector = detector
         # Service-lifetime telemetry: stats() reflects this service's
@@ -684,34 +495,14 @@ class ScanService:
         # restarts); config tokens keep shared entries safe.
         self.results = (result_cache if result_cache is not None
                         else ResultCache(result_cache_size))
-        if scorer not in _SCORER_BACKENDS:
-            raise ValueError(
-                f"unknown scorer backend {scorer!r}; choose from "
-                f"{sorted(_SCORER_BACKENDS)}")
-        self._model = model
-        self._batch_size = batch_size
-        self._workers = workers
-        self._restart_policy = restart_policy
         #: function-level incremental extraction cache (a
         #: FunctionGadgetCache or a directory path); when set, changed
         #: files re-slice only their edited call components
         self.fn_cache = fn_cache
-        self.scorer_kind = scorer
-        self._scorer = self._make_scorer(scorer)
-        self._fallback_lock = threading.Lock()
-        self._degraded: str | None = None
-        self._retired: list[threading.Thread] = []
+        self._scorer = Scorer(model, batch_size, workers,
+                              self.telemetry)
         self._submit_lock = threading.Lock()
         self._closed = False
-
-    def _make_scorer(self, kind: str) -> Scorer:
-        backend = _SCORER_BACKENDS[kind]
-        if backend is ProcessScorer:
-            return ProcessScorer(self._model, self._batch_size,
-                                 self._workers, self.telemetry,
-                                 restart_policy=self._restart_policy)
-        return backend(self._model, self._batch_size, self._workers,
-                       self.telemetry)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -719,12 +510,7 @@ class ScanService:
         """Drain and join the scoring workers (idempotent)."""
         if not self._closed:
             self._closed = True
-            with self._fallback_lock:
-                scorer = self._scorer
-                retired = list(self._retired)
-            scorer.close()
-            for thread in retired:  # demoted backends mid-teardown
-                thread.join(timeout=30.0)
+            self._scorer.close()
 
     def __enter__(self) -> "ScanService":
         return self
@@ -888,63 +674,10 @@ class ScanService:
                     status="skipped", reason=result.failure.reason))
             return entry
         entry.gadgets = result.gadgets
-        entry.pending = self._submit_samples(
+        entry.pending = self._scorer.submit(
             [g.sample(self._vocab).token_ids
              for g in result.gadgets])
         return entry
-
-    # -- self-healing --------------------------------------------------------
-
-    def _demote(self, failed: Scorer, reason: str) -> Scorer:
-        """Circuit-breaker step: replace ``failed`` with the next
-        backend down :data:`_FALLBACK_CHAIN`.
-
-        Idempotent under concurrency — if another thread already
-        swapped the scorer (or the service is closing), the current
-        scorer is returned untouched; when the chain is exhausted the
-        failed scorer itself comes back and the caller re-raises.
-        """
-        with self._fallback_lock:
-            if self._scorer is not failed or self._closed:
-                return self._scorer
-            index = (_FALLBACK_CHAIN.index(self.scorer_kind)
-                     if self.scorer_kind in _FALLBACK_CHAIN else 0)
-            if index + 1 >= len(_FALLBACK_CHAIN):
-                return self._scorer  # nothing left to fall back to
-            next_kind = _FALLBACK_CHAIN[index + 1]
-            replacement = self._make_scorer(next_kind)
-            self._scorer = replacement
-            self.scorer_kind = next_kind
-            self._degraded = reason
-            self.telemetry.count("scan_fallbacks")
-            self.telemetry.event("scorer_fallback", to=next_kind,
-                                 reason=str(reason)[:200])
-        # retire the dead backend off the hot path; its close() joins
-        # workers and may take seconds.  close() joins these threads
-        # so a service teardown never leaves a half-closed pool whose
-        # queue feeder would wedge interpreter exit.
-        retire = threading.Thread(target=failed.close, daemon=True,
-                                  name="scan-scorer-retire")
-        with self._fallback_lock:
-            self._retired.append(retire)
-        retire.start()
-        return replacement
-
-    def _submit_samples(self, samples) -> _Pending:
-        """Submit through the current scorer, demoting past broken
-        backends; only infrastructure failures (:class:`PoolBroken`)
-        trigger fallback — model errors would recur anywhere."""
-        scorer = self._scorer
-        while True:
-            try:
-                return scorer.submit(samples)
-            except PoolBroken as error:
-                self.telemetry.count("scan_retries")
-                replacement = self._demote(
-                    scorer, f"scorer pool broken: {error}")
-                if replacement is scorer:
-                    raise
-                scorer = replacement
 
     def _resolve_case(self, entry: _CaseWork) -> CaseVerdict:
         if entry.verdict is not None:
@@ -956,24 +689,7 @@ class ScanService:
             entry.verdict = self._resolve_case(entry.leader)
             return entry.verdict
         assert entry.pending is not None
-        while True:
-            try:
-                scores = entry.pending.result()
-                break
-            except PoolBroken as error:
-                # the pool died holding this case: demote and rescore
-                # the same padded rows on the fallback backend —
-                # padding is idempotent, so the verdict is unchanged
-                self.telemetry.count("scan_retries")
-                failed = entry.pending.scorer or self._scorer
-                replacement = self._demote(
-                    failed, f"scorer pool broken: {error}")
-                if replacement is failed:
-                    raise
-                # _submit_samples so a fallback that breaks mid-swap
-                # cascades down the chain instead of raising here
-                entry.pending = self._submit_samples(
-                    entry.pending.rows)
+        scores = entry.pending.result()
         findings = self.detector.findings_from(
             entry.case.name, entry.gadgets, scores)
         verdict = CaseVerdict(
@@ -997,27 +713,9 @@ class ScanService:
     # -- introspection -------------------------------------------------------
 
     def health(self) -> dict:
-        """Service health for the server's ``health`` op.
-
-        ``ready`` — primary backend at full strength; ``degraded`` —
-        serving on a fallback backend or with lost pool workers
-        (verdicts unaffected, throughput reduced); ``draining`` —
-        closed, rejecting new scans.
-        """
-        scorer_health = self._scorer.health()
-        if self._closed:
-            status = "draining"
-        elif (self._degraded is not None
-              or scorer_health["status"] not in ("ok",)):
-            status = "degraded"
-        else:
-            status = "ready"
-        return {
-            "status": status,
-            "scorer": self.scorer_kind,
-            "scorer_health": scorer_health,
-            "degraded_reason": self._degraded,
-        }
+        """Service health for the server's ``health`` op: ``ready``,
+        or ``draining`` once closed and rejecting new scans."""
+        return {"status": "draining" if self._closed else "ready"}
 
     def stats(self) -> dict:
         """Service-level scan statistics (summary + benchmarks)."""
@@ -1039,15 +737,4 @@ class ScanService:
                 telemetry.observation_stats("scan_batch_fill"),
             "queue_depth":
                 telemetry.observation_stats("scan_queue_depth"),
-            "resilience": {
-                "health": self.health()["status"],
-                "scorer": self.scorer_kind,
-                "fallbacks": telemetry.get("scan_fallbacks"),
-                "retries": telemetry.get("scan_retries"),
-                "worker_deaths": telemetry.get("pool_worker_deaths"),
-                "respawns": telemetry.get("pool_respawns"),
-                "resubmitted_jobs":
-                    telemetry.get("pool_resubmitted_jobs"),
-                "degraded_reason": self._degraded,
-            },
         }

@@ -22,13 +22,11 @@ not once per invocation:
 * **Scoring** — dispatcher threads collect up to ``dispatch_batch``
   admitted requests and hand them to the service as one
   ``scan_cases`` call, which extracts across the batch and feeds the
-  shared micro-batching scorer — this is where the one-file-per-
-  process CLI's ~4%-full batches become full ones.  The default
-  scorer backend is :class:`~repro.core.serve.ProcessScorer`: worker
-  *processes* score against model weights mapped once into shared
-  memory, so forwards do not contend on the GIL.
+  shared micro-batching :class:`~repro.core.serve.Scorer` — this is
+  where the one-file-per-process CLI's ~4%-full batches become full
+  ones.
 * **Hot reload** — ``reload`` builds a completely new service (new
-  detector, new shared-memory weights, new workers) and atomically
+  detector, new scorer workers) and atomically
   swaps it in.  In-flight scans finish on the service that admitted
   them; requests dispatched after the swap score on the new one.
   Every scan response carries the ``config_token`` of the service
@@ -39,21 +37,16 @@ not once per invocation:
   ShardedResultCache` owned by the *server* and passed to every
   service generation, so verdicts survive reloads (token-keyed) and
   dispatcher threads don't serialize on a single cache lock.
-* **Self-healing** — the process pool behind the default scorer
-  respawns dead workers and resubmits their batches
-  (:class:`~repro.core.scorer_pool.RestartPolicy`); if the pool breaks
-  anyway the service demotes ``process → thread → inline`` and keeps
-  answering, slower but byte-identical.  A ``health`` op reports
-  ``ready`` / ``degraded`` / ``draining``; shed responses carry a
-  ``retry_after_ms`` hint; scans may carry a ``deadline_ms`` budget
-  and are answered ``expired`` instead of scored late; ``stop()``
-  answers queued scans with ``shed`` so retrying clients resubmit to
-  the server's successor instead of failing.
+* **Failure answers** — a ``health`` op reports ``ready`` /
+  ``draining``; shed responses carry a ``retry_after_ms`` hint; scans
+  may carry a ``deadline_ms`` budget and are answered ``expired``
+  instead of scored late; ``stop()`` answers queued scans with
+  ``shed`` so retrying clients resubmit to the server's successor
+  instead of failing.
 
 Verdict payloads are exactly ``CaseVerdict.as_record()`` — the same
-bytes the offline ``scan`` command writes to ``--jsonl`` — and are
-byte-identical to serial ``detector.detect_case`` results, a property
-pinned end-to-end by ``tests/core/test_server.py``.
+bytes the offline ``scan`` command writes to ``--jsonl`` — pinned
+end-to-end against the local service by ``tests/core/test_server.py``.
 """
 
 from __future__ import annotations
@@ -68,7 +61,6 @@ from ..datasets.manifest import TestCase
 from ..testing import faults
 from .detector import SEVulDet
 from .ipc import (ProtocolError, encode_message, read_message)
-from .scorer_pool import RestartPolicy
 from .serve import ScanService, ShardedResultCache
 from .telemetry import Telemetry
 
@@ -83,9 +75,8 @@ class _ServiceHandle:
 
     Dispatchers ``acquire()`` before scanning and ``release()`` after;
     ``retire()`` marks the generation dead and the last release closes
-    the underlying service (joining scorer workers, unlinking shared
-    memory).  In-flight scans therefore always finish on the weights
-    they started with.
+    the underlying service (joining its scorer workers).  In-flight
+    scans therefore always finish on the weights they started with.
     """
 
     def __init__(self, service: ScanService):
@@ -177,12 +168,10 @@ class ScanServer:
                  socket_path: str | Path | None = None,
                  host: str | None = None, port: int = 0,
                  workers: int = 2, batch_size: int = 64,
-                 scorer: str = "process",
                  max_pending: int = 64, dispatchers: int = 2,
                  dispatch_batch: int = 16,
                  cache_capacity: int = 4096, cache_shards: int = 8,
-                 telemetry: Telemetry | None = None,
-                 restart_policy: RestartPolicy | None = None):
+                 telemetry: Telemetry | None = None):
         if model is None and detector is None:
             raise ValueError("need a model path or a detector")
         if socket_path is not None and host is not None:
@@ -201,8 +190,6 @@ class ScanServer:
         self._port = port
         self.workers = workers
         self.batch_size = batch_size
-        self.scorer = scorer
-        self.restart_policy = restart_policy
         self.max_pending = max_pending
         self.dispatch_batch = max(1, dispatch_batch)
         self.telemetry = (telemetry if telemetry is not None
@@ -324,10 +311,8 @@ class ScanServer:
     def _build_service(self, detector: SEVulDet) -> ScanService:
         return ScanService(detector, workers=self.workers,
                            batch_size=self.batch_size,
-                           scorer=self.scorer,
                            result_cache=self.results,
-                           telemetry=self.telemetry,
-                           restart_policy=self.restart_policy)
+                           telemetry=self.telemetry)
 
     def _bind(self) -> socket.socket:
         if self._socket_path is not None:
@@ -601,9 +586,9 @@ class ScanServer:
     def reload(self, model: str | Path | None = None) -> str:
         """Swap in a freshly loaded model; returns its config token.
 
-        The new service (detector, shared-memory weights, scorer
-        workers) is fully built *before* the swap, so the scan path
-        never waits on a model load; the old service keeps scoring
+        The new service (detector and scorer workers) is fully built
+        *before* the swap, so the scan path never waits on a model
+        load; the old service keeps scoring
         its in-flight batches and is closed by the last dispatcher to
         release it.  Requests still queued at swap time score on the
         new service — nothing is dropped, and every response names
@@ -622,25 +607,13 @@ class ScanServer:
             return fresh.service.config_token
 
     def health(self) -> dict:
-        """The ``health`` op's payload: ``ready`` / ``degraded`` /
-        ``draining`` plus the scoring backend actually in use.
-
-        ``draining`` while stopping; otherwise the service's own
-        health (``degraded`` = serving on a fallback scorer or with
-        lost pool workers — slower, verdicts unaffected).
-        """
+        """The ``health`` op's payload: ``draining`` while stopping,
+        otherwise the service's own health (``ready``)."""
         with self._service_lock:
             handle = self._handle
         if self._stopping or handle is None:
-            return {"health": "draining", "scorer": self.scorer,
-                    "degraded_reason": None}
-        service_health = handle.service.health()
-        return {
-            "health": service_health["status"],
-            "scorer": service_health["scorer"],
-            "scorer_health": service_health["scorer_health"],
-            "degraded_reason": service_health["degraded_reason"],
-        }
+            return {"health": "draining"}
+        return {"health": handle.service.health()["status"]}
 
     def stats(self) -> dict:
         """Server- and service-level statistics (the ``stats`` op)."""
@@ -654,7 +627,6 @@ class ScanServer:
                 "address": self.address,
                 "clients": clients,
                 "queued": queued,
-                "scorer": self.scorer,
                 "health": self.health()["health"],
                 "config_token": (None if handle is None
                                  else handle.service.config_token),

@@ -8,21 +8,13 @@ differences with eps=1e-6 need ~15 significant digits) via
 :func:`set_default_dtype`, and ``REPRO_DTYPE=float64`` in the
 environment restores the old behavior process-wide.
 
-float16 is allowed as a *storage/inference* dtype: the fused inference
-kernel (:mod:`repro.models.fused`) runs half-precision models with
-float32 matmul accumulation, and :mod:`repro.nn.quantize` casts a
-trained model down for serving.  Training in float16 is unsupported
-(gradients underflow), so the default stays float32 unless explicitly
-overridden.
+float16 is not a compute dtype: training in it is unsupported
+(gradients underflow), and inference runs in the training precision.
 
 Persisted archives are dtype-agnostic: ``load_state_dict`` casts
 whatever was saved into the active default, so a float64-trained model
-loads cleanly into a float32 session and vice versa.
-
-Inference dtypes are a separate, wider vocabulary
-(:data:`INFERENCE_DTYPES`): ``int8`` is a weight-quantization scheme
-(per-tensor scale/zero-point, dequantized into float32 for the
-matmuls), not a compute dtype — it can never become the default.
+loads cleanly into a float32 session and vice versa, and float16
+weights come back upcast.
 """
 
 from __future__ import annotations
@@ -33,34 +25,18 @@ from typing import Iterator
 import numpy as np
 from contextlib import contextmanager
 
-__all__ = ["get_default_dtype", "set_default_dtype", "default_dtype",
-           "INFERENCE_DTYPES", "coerce_inference_dtype"]
+__all__ = ["get_default_dtype", "set_default_dtype", "default_dtype"]
 
-_ALLOWED = (np.float16, np.float32, np.float64)
-
-#: Inference-time weight representations accepted by ``scan --dtype``
-#: and :meth:`repro.core.detector.SEVulDet.quantize`.  ``int8`` is a
-#: quantization scheme (stored scale/zero-point per tensor), so it is
-#: valid here but *not* a default compute dtype.
-INFERENCE_DTYPES = ("float32", "float16", "int8")
+_ALLOWED = (np.float32, np.float64)
 
 
 def _coerce(dtype) -> np.dtype:
     resolved = np.dtype(dtype)
     if resolved not in [np.dtype(d) for d in _ALLOWED]:
         raise ValueError(
-            f"unsupported compute dtype {dtype!r}; choose float16, "
-            f"float32 or float64")
+            f"unsupported compute dtype {dtype!r}; choose float32 "
+            f"or float64")
     return resolved
-
-
-def coerce_inference_dtype(name: str) -> str:
-    """Validate an inference dtype name (``scan --dtype`` values)."""
-    if name not in INFERENCE_DTYPES:
-        raise ValueError(
-            f"unsupported inference dtype {name!r}; choose from "
-            f"{', '.join(INFERENCE_DTYPES)}")
-    return name
 
 
 _DEFAULT_DTYPE = _coerce(os.environ.get("REPRO_DTYPE", "float32"))

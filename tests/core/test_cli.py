@@ -48,6 +48,21 @@ class TestParser:
                                        "--out", "m.npz"])
 
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "a.c", "--dtype", "float16"],
+        ["scan", "a.c", "--calibration-cases", "8"],
+        ["serve", "--model", "m.npz", "--scorer", "process"],
+        ["serve", "--model", "m.npz", "--max-restarts", "1"],
+        ["serve", "--model", "m.npz", "--restart-window", "5"],
+    ], ids=["dtype", "calibration-cases", "scorer", "max-restarts",
+            "restart-window"])
+    def test_removed_scoring_options_rejected(self, argv):
+        # one scorer, float32 only: the backend, precision and
+        # restart-budget flags are gone
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
 class TestGadgetsCommand:
     def test_prints_gadgets(self, tmp_path, capsys):
         target = tmp_path / "t.c"

@@ -1,13 +1,16 @@
 """Tests for the SEVulDet public detector facade (train + detect +
 persistence) and the attention hooks."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.attention_hook import attention_report, weights_by_line
 from repro.core.config import SCALE_PRESETS
 from repro.core.detector import SEVulDet
-from repro.core.pipeline import encode_gadgets, extract_gadgets
+from repro.core.encode import encode_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.cwe_templates import TEMPLATES, generate_case
 from repro.datasets.sard import generate_sard_corpus
 from repro.models.sevuldet import SEVulDetNet
@@ -132,7 +135,8 @@ class TestAttentionHookConsistency:
         Normalizer; the reconstruction must agree with the stored token
         stream for every gadget, not just the case-study one."""
         from repro.core.attention_hook import weights_by_line
-        from repro.core.pipeline import encode_gadgets, extract_gadgets
+        from repro.core.encode import encode_gadgets
+        from repro.core.extract import extract_gadgets
         corpus = generate_sard_corpus(15, seed=47)
         gadgets = extract_gadgets(corpus, keep_gadget=True,
                                   deduplicate=False)
@@ -143,90 +147,35 @@ class TestAttentionHookConsistency:
             assert abs(sum(by_line.values()) - 1.0) < 1e-6
 
 
-class TestQuantization:
-    """Reduced-precision detector weights (quantize/save/load/token)."""
+class TestLegacyArchives:
+    def test_float16_tagged_archive_scans_in_float32(self, trained,
+                                                     tmp_path):
+        # Archives from before float32-only inference carry a dtype
+        # tag and float16 weights: the tag is ignored and the weights
+        # come back upcast, so the model scores in float32.
+        from repro.core.serve import ScanService
+        from repro.nn.serialize import save_npz_atomic
 
-    @pytest.fixture()
-    def fresh(self, trained, tmp_path):
-        """A private float32 copy of the trained detector — the module
-        fixture is shared, so quantization must not mutate it."""
         path = tmp_path / "detector.npz"
         trained.save(path)
-        detector = SEVulDet(scale=trained.scale)
-        detector.load(path)
-        return detector
+        with np.load(path) as archive:
+            metadata = json.loads(
+                archive["__metadata__"].tobytes().decode())
+            arrays = {key: archive[key].astype(np.float16)
+                      for key in archive.files
+                      if key != "__metadata__"}
+        metadata["inference_dtype"] = "float16"
+        save_npz_atomic(path, arrays, metadata)
 
-    def test_float16_guardband_is_measured_and_small(self, fresh):
-        calibration = generate_sard_corpus(10, seed=9091)
-        report = fresh.quantize("float16", calibration)
-        assert fresh.inference_dtype == "float16"
-        assert report.calibration_samples > 0
-        assert report.max_abs_delta < 5e-3
-        assert report.flips == 0
-        assert all(p.data.dtype == np.float16
-                   for p in fresh.model.parameters())
-        assert (report.weights_nbytes_after * 2
-                == report.weights_nbytes_before)
-
-    def test_int8_dequantizes_to_float32_grid(self, fresh):
-        report = fresh.quantize("int8",
-                                generate_sard_corpus(10, seed=9091))
-        assert fresh.inference_dtype == "int8"
-        assert report.per_tensor  # every weight matrix recorded
-        assert report.payload_nbytes < report.weights_nbytes_before
-        # per-tensor int8 is coarse (the embedding matrix dominates):
-        # individual probabilities can move visibly, but the verdict
-        # contract — no flips at the operating threshold — must hold
-        assert report.mean_abs_delta < 2e-2
-        assert report.flips == 0
-        assert all(p.data.dtype == np.float32
-                   for p in fresh.model.parameters())
-
-    def test_config_token_depends_on_inference_dtype(self, fresh):
-        before = fresh.config_token()
-        fresh.inference_dtype = "int8"  # tag alone must miss caches
-        assert fresh.config_token() != before
-
-    def test_double_quantization_raises(self, fresh):
-        fresh.quantize("float16")
-        with pytest.raises(ValueError, match="already float16"):
-            fresh.quantize("int8")
-        # re-applying the same dtype is allowed (idempotent)
-        fresh.quantize("float16")
-
-    def test_unknown_dtype_rejected(self, fresh):
-        with pytest.raises(ValueError):
-            fresh.quantize("bfloat16")
-
-    def test_quantized_save_load_roundtrip(self, fresh, tmp_path):
-        fresh.quantize("float16")
-        saved_state = {k: v.copy()
-                       for k, v in fresh.model.state_dict().items()}
-        path = tmp_path / "f16.npz"
-        fresh.save(path)
-        restored = SEVulDet(scale=fresh.scale)
+        restored = SEVulDet(scale=trained.scale)
         restored.load(path)
-        assert restored.inference_dtype == "float16"
-        for key, value in restored.model.state_dict().items():
-            assert value.dtype == saved_state[key].dtype, key
-            assert np.array_equal(value, saved_state[key]), key
-        case = generate_case(TEMPLATES[0], vulnerable=True, seed=995)
-        original = [(f.line, f.score) for f in fresh.detect_case(case)]
-        loaded = [(f.line, f.score)
-                  for f in restored.detect_case(case)]
-        assert original == loaded
-
-    def test_scan_service_quantizes_and_keys_cache(self, fresh,
-                                                   trained):
-        from repro.core.serve import ScanService
-
-        calibration = generate_sard_corpus(6, seed=9091)
-        with ScanService(fresh, workers=1, dtype="float16",
-                         calibration=calibration) as service:
-            assert fresh.inference_dtype == "float16"
-            assert fresh.quantization_report is not None
-            assert service.config_token != trained.config_token()
-            case = generate_case(TEMPLATES[0], vulnerable=True,
-                                 seed=994)
+        state = restored.model.state_dict()
+        assert set(state) == set(arrays)
+        for key, value in state.items():
+            assert value.dtype == np.float32, key
+            assert np.array_equal(value, arrays[key].astype(np.float32))
+        case = generate_case(TEMPLATES[0], vulnerable=True, seed=994)
+        with ScanService(restored, workers=1) as service:
             verdict = service.scan_case(case)
-            assert verdict.status in ("flagged", "clean")
+        assert verdict.status in ("flagged", "clean")
+        assert list(verdict.findings) == restored.detect_case(case)

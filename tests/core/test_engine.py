@@ -191,6 +191,12 @@ class TestScoreEquivalence:
             model, [g.sample(dataset.vocab) for g in reference_gadgets])
         assert np.allclose(scores, one_shot, atol=1e-6)
 
+    def test_score_stage_has_no_pool_mode(self, reference_gadgets):
+        dataset = encode_gadgets(reference_gadgets[:5], dim=8,
+                                 w2v_epochs=0, seed=13)
+        with pytest.raises(TypeError):
+            ScoreStage(build_net(dataset), dataset.vocab, workers=2)
+
 
 class _Boom(Stage):
     name = "boom"

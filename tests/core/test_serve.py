@@ -1,12 +1,14 @@
 """End-to-end tests for the batched scan service.
 
-The load-bearing property is *byte identity*: the micro-batching
+The load-bearing property is *verdict identity*: the micro-batching
 scheduler may pack gadgets from many cases into shared batches, but
-every verdict must exactly equal what a serial
-``detector.detect_case`` loop produces — same findings, same scores,
-same ordering.  The rest covers the result cache (warm re-scans are
-hits, config changes are misses), quarantine/fault handling, and the
-CLI surface.
+every verdict must match what a serial ``detector.detect_case`` loop
+produces — same verdicts, findings and lines, with scores equal to
+float32 rounding.  On a small corpus, where batches rarely mix cases,
+the scores are pinned bit-equal as well; on a corpus large enough for
+batches to mix, a score may move in its last float32 bit.  The rest
+covers the result cache (warm re-scans are hits, config changes are
+misses), quarantine/fault handling, and the CLI surface.
 """
 
 import json
@@ -68,6 +70,29 @@ class TestByteIdentity:
             serial = detector.detect_case(case)
             for batched, single in zip(verdict.findings, serial):
                 assert batched.score == single.score  # bit-equal
+
+    def test_mixed_batches_match_serial_to_float32_rounding(
+            self, detector):
+        # 160 cases at batch 64: scorer batches really mix cases, so
+        # BLAS sees other shapes than the serial loop and a score may
+        # drift in its last float32 bit.  Verdicts, findings and lines
+        # must still be identical.
+        cases = generate_sard_corpus(160, seed=99)
+        with ScanService(detector, workers=2,
+                         batch_size=64) as service:
+            verdicts = service.scan_cases(cases)
+        drift = 0.0
+        for case, verdict in zip(cases, verdicts):
+            serial = detector.detect_case(case)
+            assert verdict.flagged == bool(serial)
+            batched = sorted((f.function, f.line, f.category, f.score)
+                             for f in verdict.findings)
+            single = sorted((f.function, f.line, f.category, f.score)
+                            for f in serial)
+            assert [b[:3] for b in batched] == [s[:3] for s in single]
+            for b, s in zip(batched, single):
+                drift = max(drift, abs(b[3] - s[3]))
+        assert drift <= 1e-6
 
 
 class TestResultCaching:
@@ -338,23 +363,14 @@ class TestConcurrentCallers:
         assert records[1] == baseline[1].as_record()
 
 
-class TestScorerBackends:
-    def test_process_backend_matches_thread_backend(self, detector,
-                                                    corpus):
-        with ScanService(detector, workers=2, batch_size=16,
-                         scorer="process") as service:
-            process_records = [v.as_record()
-                               for v in service.scan_cases(corpus)]
-            assert service.stats()["scored_gadgets"] > 0
-        with ScanService(detector, workers=2, batch_size=16,
-                         scorer="thread") as service:
-            thread_records = [v.as_record()
-                              for v in service.scan_cases(corpus)]
-        assert process_records == thread_records
-
-    def test_unknown_backend_rejected(self, detector):
-        with pytest.raises(ValueError, match="unknown scorer"):
-            ScanService(detector, scorer="gpu")
+class TestScorerOptions:
+    def test_removed_keywords_rejected(self, detector):
+        # one scorer, float32 only: backend and precision options are
+        # gone, not silently ignored
+        for option in ({"scorer": "thread"}, {"dtype": "float16"},
+                       {"calibration": []}, {"restart_policy": None}):
+            with pytest.raises(TypeError):
+                ScanService(detector, **option)
 
 
 class TestShardedResultCache:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import extract_gadgets
+from repro.core.extract import extract_gadgets
 from repro.datasets.sard import generate_sard_corpus
 from repro.eval.protocol import cross_validate
 from repro.models.sevuldet import SEVulDetNet
