@@ -22,7 +22,7 @@ from pathlib import Path
 from .baselines.afl import AFLFuzzer
 from .core.config import SCALE_PRESETS, current_scale
 from .core.detector import SEVulDet
-from .core.engine import Engine, ExtractStage, RunContext
+from .core.context import RunContext
 from .core.extract import extract_gadgets
 from .datasets.manifest import TestCase
 from .datasets.nvd import generate_nvd_corpus
@@ -377,9 +377,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         corpus += generate_nvd_corpus(args.nvd_cases,
                                       seed=args.seed + 1)
     ctx = _run_context(args, workers=args.workers)
-    engine = Engine(ExtractStage(args.kind), ctx=ctx)
-    gadgets = [gadget for chunk in engine.run(corpus)
-               for gadget in chunk]
+    gadgets = ctx.extract_gadgets(corpus, args.kind)
     count = save_gadgets(gadgets, args.out)
     vulnerable = sum(g.label for g in gadgets)
     print(f"extracted {count} gadgets ({vulnerable} vulnerable) from "

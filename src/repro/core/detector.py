@@ -23,10 +23,11 @@ from ..nn.serialize import load_model, save_model
 from ..slicing.normalize import NORMALIZE_VERSION
 from .config import Scale, current_scale
 from .cwe_typing import CWETyper
-from .encode import EncodedDataset
+from .context import RunContext
+from .encode import EncodedDataset, encode_gadgets
 from .extract import PIPELINE_VERSION, LabeledGadget, extract_gadgets
 from .score import predict_proba
-from .train import TrainReport
+from .train import TrainReport, train_classifier
 from .resilience import CaseFailure
 from .telemetry import Telemetry
 
@@ -96,12 +97,10 @@ class SEVulDet:
     extraction_failures: list[CaseFailure] = field(default_factory=list)
 
     def run_context(self, *, checkpoint_dir: str | Path | None = None,
-                    resume: bool = False) -> "RunContext":
-        """The detector's settings bundled as an engine
-        :class:`~repro.core.engine.RunContext` (fresh failure list;
+                    resume: bool = False) -> RunContext:
+        """The detector's settings bundled as a
+        :class:`~repro.core.context.RunContext` (fresh failure list;
         shared cache/quarantine/telemetry)."""
-        from .engine import RunContext
-
         return RunContext.create(
             cache=self.cache, quarantine=self.quarantine,
             telemetry=self.telemetry, checkpoint_dir=checkpoint_dir,
@@ -119,15 +118,16 @@ class SEVulDet:
     def fit(self, cases: Sequence[TestCase],
             epochs: int | None = None, *,
             checkpoint_dir: str | Path | None = None,
-            resume: bool = False, ctx=None) -> TrainReport:
+            resume: bool = False,
+            ctx: RunContext | None = None) -> TrainReport:
         """Train on labelled corpus programs.
 
-        Runs extract -> encode -> train as a streaming
-        :class:`~repro.core.engine.Engine`: extraction of later case
-        chunks overlaps nothing here (encode is a barrier) but shares
-        the persistent worker pool across chunks, and all stages draw
-        their cache/quarantine/telemetry from one
-        :class:`~repro.core.engine.RunContext`.
+        Runs extract (Steps I-III) -> encode (Step IV) -> train
+        (Step V) in turn, every step drawing its cache, quarantine,
+        telemetry and fault budget from one
+        :class:`~repro.core.context.RunContext` (``ctx``, or
+        :meth:`run_context` when omitted).  A corpus that yields no
+        gadgets raises ``ValueError``.
 
         With a ``checkpoint_dir``, training writes atomic per-epoch
         checkpoints and ``resume=True`` continues an interrupted fit
@@ -136,27 +136,29 @@ class SEVulDet:
         the remaining classifier epochs are re-run), ending with the
         same weights as an uninterrupted fit.
         """
-        from .engine import Engine, EncodeStage, ExtractStage, TrainStage
-
         if ctx is None:
             ctx = self.run_context(checkpoint_dir=checkpoint_dir,
                                    resume=resume)
         self.extraction_failures = ctx.failures
-        engine = Engine(
-            ExtractStage(self.gadget_kind, self.categories),
-            EncodeStage(dim=self.scale.dim,
-                        w2v_epochs=self.scale.w2v_epochs,
-                        seed=self.seed),
-            TrainStage(
-                self._build_net,
-                epochs=epochs if epochs is not None else self.scale.epochs,
-                batch_size=self.scale.batch_size,
-                lr=self.scale.learning_rate, seed=self.seed),
-            ctx=ctx)
-        result = engine.run(cases)
-        self.dataset = result.dataset
-        self.model = result.model
-        return result.report
+        gadgets = ctx.extract_gadgets(cases, self.gadget_kind,
+                                      self.categories)
+        if not gadgets:
+            raise ValueError("no gadgets could be extracted from the "
+                             "training corpus")
+        dataset = encode_gadgets(gadgets, dim=self.scale.dim,
+                                 w2v_epochs=self.scale.w2v_epochs,
+                                 seed=self.seed, telemetry=ctx.telemetry)
+        model = self._build_net(dataset)
+        report = train_classifier(
+            model, dataset.samples,
+            epochs=epochs if epochs is not None else self.scale.epochs,
+            batch_size=self.scale.batch_size,
+            lr=self.scale.learning_rate, seed=self.seed,
+            telemetry=ctx.telemetry, checkpoint_dir=ctx.checkpoint_dir,
+            resume=ctx.resume)
+        self.dataset = dataset
+        self.model = model
+        return report
 
     def fit_typer(self, epochs: int = 12) -> list[float]:
         """Train the CWE-type head (Fig 2(b) "vulnerability type") on

@@ -5,8 +5,9 @@ normalized gadgets: slice -> path-sensitive assembly (Algorithm 1) ->
 label -> normalize.  The per-case work is pure, so it runs identically
 inline, in a process pool, or from the content-addressed cache; the
 :class:`CorpusExtractor` core is shared by the one-shot
-:func:`extract_gadgets` wrapper and the streaming
-:class:`~repro.core.engine.ExtractStage`.
+:func:`extract_gadgets` wrapper, the training and evaluation drivers
+(through :meth:`~repro.core.context.RunContext.extractor`) and the
+scan service.
 """
 
 from __future__ import annotations
@@ -238,19 +239,17 @@ def _extract_chunk(cases: list[TestCase], config: _ExtractConfig,
 
 def _pool_extract(cases: Sequence[TestCase], pending: list[int],
                   config: _ExtractConfig, workers: int,
-                  telemetry: Telemetry,
-                  pool: ProcessPoolExecutor | None = None,
+                  telemetry: Telemetry, pool: ProcessPoolExecutor,
                   fn_cache=None
                   ) -> tuple[dict[int, _CaseOutcome], list[int]]:
-    """Fan ``pending`` out over a process pool, chunk by chunk.
+    """Fan ``pending`` out over the caller's process pool, chunk by
+    chunk.
 
     Returns the per-index outcomes plus the indices whose chunk was
     lost to pool breakage (a worker died mid-chunk); the caller decides
-    whether to retry those inline.  Unlike ``pool.map``, per-chunk
-    futures keep every already-completed chunk when the pool breaks.
-    A caller-owned ``pool`` is reused across calls (the streaming
-    engine amortizes worker startup over many chunks); when None, a
-    temporary pool lives for just this call.
+    whether to retry those inline and whether to replace the pool.
+    Unlike ``pool.map``, per-chunk futures keep every already-completed
+    chunk when the pool breaks.
     """
     outcomes: dict[int, _CaseOutcome] = {}
     lost: list[int] = []
@@ -268,33 +267,26 @@ def _pool_extract(cases: Sequence[TestCase], pending: list[int],
                 "extract_gadgets: process pool broke (worker died); "
                 "unfinished cases fall back to inline extraction")
 
-    own_pool = pool is None
-    if own_pool:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        submitted: list[tuple] = []
-        for chunk in chunks:
-            try:
-                future = pool.submit(_extract_chunk,
-                                     [cases[i] for i in chunk], config,
-                                     fn_cache)
-            except (BrokenExecutor, RuntimeError):
-                # a previous run broke this (persistent) pool
-                note_break()
-                lost.extend(chunk)
-                continue
-            submitted.append((future, chunk))
-        for future, chunk in submitted:
-            try:
-                results = future.result()
-            except BrokenExecutor:
-                note_break()
-                lost.extend(chunk)
-            else:
-                outcomes.update(zip(chunk, results))
-    finally:
-        if own_pool:
-            pool.shutdown()
+    submitted: list[tuple] = []
+    for chunk in chunks:
+        try:
+            future = pool.submit(_extract_chunk,
+                                 [cases[i] for i in chunk], config,
+                                 fn_cache)
+        except (BrokenExecutor, RuntimeError):
+            # a previous run broke this (persistent) pool
+            note_break()
+            lost.extend(chunk)
+            continue
+        submitted.append((future, chunk))
+    for future, chunk in submitted:
+        try:
+            results = future.result()
+        except BrokenExecutor:
+            note_break()
+            lost.extend(chunk)
+        else:
+            outcomes.update(zip(chunk, results))
     return outcomes, lost
 
 
@@ -337,17 +329,18 @@ class CorpusExtractor:
     accounting, and cache stores — returning *per-case* results in
     corpus order (no deduplication; that is corpus-level policy).
 
-    With ``keep_pool=True`` the process pool survives across
-    :meth:`run` calls, so a streaming consumer extracting chunk after
-    chunk pays worker startup once; a pool broken by a dying worker is
-    discarded and lazily recreated for the next call.  Call
-    :meth:`close` (or use as a context manager) to release it.
+    The process pool (``workers > 1``) is created on the first
+    :meth:`run` that needs it and survives across calls, so a caller
+    extracting chunk after chunk pays worker startup once; a pool
+    broken by a dying worker is discarded and lazily recreated for the
+    next call.  Call :meth:`close` (or use as a context manager) to
+    release it.
     """
 
     def __init__(self, config: _ExtractConfig, *, workers: int = 0,
                  cache=None, quarantine=None,
                  telemetry: Telemetry | None = None, retries: int = 1,
-                 keep_pool: bool = False, fn_cache=None):
+                 fn_cache=None):
         self.config = config
         self.workers = workers
         self.cache = _coerce_cache(cache)
@@ -359,7 +352,6 @@ class CorpusExtractor:
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry())
         self.retries = retries
-        self.keep_pool = keep_pool
         self._pool: ProcessPoolExecutor | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -376,9 +368,7 @@ class CorpusExtractor:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def _acquire_pool(self) -> ProcessPoolExecutor | None:
-        if not self.keep_pool:
-            return None  # _pool_extract manages a temporary pool
+    def _acquire_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
@@ -443,7 +433,7 @@ class CorpusExtractor:
                                                self.workers, telemetry,
                                                pool=pool,
                                                fn_cache=self.fn_cache)
-                if lost and pool is not None:
+                if lost:
                     # a broken persistent pool poisons later runs too
                     pool.shutdown(wait=False)
                     self._pool = None
@@ -525,14 +515,25 @@ class CorpusExtractor:
                 for index, (case, gadgets)
                 in enumerate(zip(cases, per_case))]
 
+    def gadgets(self, cases: Sequence[TestCase],
+                failures: list[CaseFailure] | None = None, *,
+                deduplicate: bool = True) -> list[LabeledGadget]:
+        """:meth:`run`, then the per-case gadget lists concatenated
+        in corpus order and deduplicated: the training diet."""
+        deduper = GadgetDeduplicator(enabled=deduplicate)
+        kept: list[LabeledGadget] = []
+        for result in self.run(cases, failures=failures):
+            kept.extend(deduper.filter(result.gadgets))
+        self.telemetry.count("dedup_hits", deduper.hits)
+        self.telemetry.count("gadgets_emitted", len(kept))
+        return kept
+
 
 class GadgetDeduplicator:
     """Corpus-order (tokens, label) exact-duplicate filter.
 
-    Stateful across calls so a streaming consumer filtering chunk
-    after chunk drops exactly the duplicates a one-shot pass over the
-    concatenated corpus would — the property the engine's equivalence
-    tests pin.
+    Stateful across calls, so filtering case after case drops exactly
+    the duplicates a one-shot pass over the concatenated corpus would.
     """
 
     def __init__(self, enabled: bool = True):
@@ -627,18 +628,9 @@ def extract_gadgets(
         logger.warning("extract_gadgets: cache disabled because "
                        "keep_gadget=True retains raw gadget objects "
                        "the cache format does not persist")
-    extractor = CorpusExtractor(
-        config, workers=workers,
-        cache=None if keep_gadget else cache,
-        quarantine=quarantine, telemetry=telemetry,
-        retries=retries)
-    telemetry = extractor.telemetry
-    case_results = extractor.run(cases, failures=failures)
-
-    deduper = GadgetDeduplicator(enabled=deduplicate)
-    results: list[LabeledGadget] = []
-    for case_result in case_results:
-        results.extend(deduper.filter(case_result.gadgets))
-    telemetry.count("dedup_hits", deduper.hits)
-    telemetry.count("gadgets_emitted", len(results))
-    return results
+    with CorpusExtractor(config, workers=workers,
+                         cache=None if keep_gadget else cache,
+                         quarantine=quarantine, telemetry=telemetry,
+                         retries=retries) as extractor:
+        return extractor.gadgets(cases, failures,
+                                 deduplicate=deduplicate)

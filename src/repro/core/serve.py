@@ -51,8 +51,8 @@ import numpy as np
 from ..datasets.manifest import TestCase
 from ..nn import no_grad, pad_or_truncate
 from ..testing import faults
+from .context import RunContext
 from .detector import Finding, SEVulDet
-from .engine import Engine, ExtractStage, RunContext, Stage
 from .extract import CaseResult
 from .score import SCORE_MIN_LENGTH
 from .telemetry import Telemetry
@@ -433,32 +433,10 @@ class _CaseWork:
     ready: threading.Event = field(default_factory=threading.Event)
 
 
-class _SubmitStage(Stage):
-    """Engine stage feeding extraction results to the scorer.
-
-    Consumes the :class:`~repro.core.extract.CaseResult` chunks an
-    upstream ``ExtractStage(per_case=True)`` emits (in submission
-    order, matching ``entries``) and hands each case's gadgets to the
-    service's scorer — the downstream half of the scan pipeline's
-    extract/score overlap.
-    """
-
-    name = "submit"
-    streaming = True
-
-    def __init__(self, service: "ScanService",
-                 entries: Sequence[_CaseWork]):
-        self.service = service
-        self._entries = iter(entries)
-
-    def process(self, chunk: Sequence[CaseResult],
-                ctx: RunContext) -> list[_CaseWork]:
-        out = []
-        for result in chunk:
-            entry = self.service._admit(next(self._entries), result)
-            entry.ready.set()
-            out.append(entry)
-        return out
+#: cases per extraction call on the scan path: small enough that the
+#: first verdicts stream out early, large enough to keep a process
+#: pool busy
+_EXTRACT_CHUNK = 16
 
 
 class ScanService:
@@ -537,21 +515,21 @@ class ScanService:
         """Scan a corpus, yielding verdicts *in input order* as they
         resolve.
 
-        Pass 1 resolves what it can from the result cache, then runs
-        the remaining cases through a streaming
-        :class:`~repro.core.engine.Engine` — an extraction stage
-        feeding a scorer-submission stage across a prefetch boundary,
-        so extraction of later case chunks overlaps scoring of earlier
-        ones (and both share the detector's gadget cache, quarantine,
-        and the service's function-level ``fn_cache`` via the
-        :class:`~repro.core.engine.RunContext`).  The engine drains on
-        a background thread while this generator releases each case
-        as soon as *it and everything before it* is admitted:
+        Pass 1 resolves what it can from the result cache.  A
+        background drain thread extracts the remaining cases in chunks
+        of 16 through one :class:`~repro.core.extract.CorpusExtractor`
+        (the detector's gadget cache and quarantine, the service's
+        function-level ``fn_cache``) and submits each case's gadgets
+        to the scorer, so extraction of later chunks overlaps scoring
+        of earlier ones.  This generator releases each case as soon
+        as *it and everything before it* is admitted:
         buffer-and-release by case index, so the stream order is the
         input order no matter how extraction chunks or scorer batches
         interleave — the stability diff/watch verdict-delta
         computation depends on (workers only change timing, never
-        order; pinned by the ``--workers 4`` determinism test).
+        order; pinned by the ``--workers 4`` determinism test).  An
+        abandoned stream stops the drain after its current chunk and
+        joins it.
 
         Concurrent calls are *not* serialized: the submission lock
         covers only the cheap cache-lookup/dedup bookkeeping, so one
@@ -586,26 +564,32 @@ class ScanService:
                 misses.append(entry)
         drain: threading.Thread | None = None
         drain_error: list[BaseException] = []
+        abandoned = threading.Event()
         if misses:
             detector = self.detector
             ctx = RunContext.create(
                 cache=detector.cache,
-                fn_cache=self.fn_cache,
                 quarantine=detector.quarantine,
                 telemetry=self.telemetry,
                 case_timeout=detector.case_timeout,
                 workers=detector.workers)
-            engine = Engine(
-                ExtractStage(detector.gadget_kind,
-                             detector.categories,
-                             deduplicate=False, per_case=True),
-                _SubmitStage(self, misses),
-                ctx=ctx, chunk_size=16)
 
             def _drain() -> None:
                 try:
-                    for _ in engine.stream(e.case for e in misses):
-                        pass
+                    with ctx.extractor(detector.gadget_kind,
+                                       detector.categories,
+                                       fn_cache=self.fn_cache
+                                       ) as extractor:
+                        for start in range(0, len(misses),
+                                           _EXTRACT_CHUNK):
+                            if abandoned.is_set():
+                                return
+                            chunk = misses[start:start
+                                           + _EXTRACT_CHUNK]
+                            results = extractor.run(
+                                [entry.case for entry in chunk])
+                            for entry, result in zip(chunk, results):
+                                self._admit(entry, result)
                 except BaseException as error:
                     drain_error.append(error)
                 finally:
@@ -632,6 +616,7 @@ class ScanService:
                     raise drain_error[0]
         finally:
             if drain is not None:
+                abandoned.set()
                 drain.join()
             self.telemetry.add_stage(
                 "scan", time.perf_counter() - scan_start)
@@ -662,22 +647,21 @@ class ScanService:
         self.telemetry.count("scan_result_misses")
         return entry
 
-    def _admit(self, entry: _CaseWork,
-               result: CaseResult) -> _CaseWork:
+    def _admit(self, entry: _CaseWork, result: CaseResult) -> None:
         """Pass-1 tail: turn one extraction result into a skipped
-        verdict or a scorer submission."""
+        verdict or a scorer submission, then release the entry."""
         if result.failure is not None:
             entry.verdict = self._finish(
                 entry, CaseVerdict(
                     name=entry.case.name,
                     fingerprint=entry.fingerprint,
                     status="skipped", reason=result.failure.reason))
-            return entry
-        entry.gadgets = result.gadgets
-        entry.pending = self._scorer.submit(
-            [g.sample(self._vocab).token_ids
-             for g in result.gadgets])
-        return entry
+        else:
+            entry.gadgets = result.gadgets
+            entry.pending = self._scorer.submit(
+                [g.sample(self._vocab).token_ids
+                 for g in result.gadgets])
+        entry.ready.set()
 
     def _resolve_case(self, entry: _CaseWork) -> CaseVerdict:
         if entry.verdict is not None:

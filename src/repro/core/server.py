@@ -560,9 +560,11 @@ class ScanServer:
                     "verdict": verdict.as_record()})
 
     def _finish(self, request: _Request, response: dict) -> None:
-        request.client.send(response)
+        # release the budget slot before answering: a client that
+        # sends its next scan on receipt must find the slot free
         with self._cond:
             request.client.inflight -= 1
+        request.client.send(response)
 
     # -- reload + introspection ----------------------------------------------
 

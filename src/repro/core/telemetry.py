@@ -48,7 +48,7 @@ class Telemetry:
     """Named counters, per-stage wall times, and a bounded event log.
 
     One instance may be shared across threads (the scan service's
-    scorer workers, the engine's prefetch pump, server dispatchers):
+    scorer workers and extraction drain, server dispatchers):
     every read-modify-write runs under an internal re-entrant lock, so
     concurrent increments are never lost.  The lock is an
     implementation detail — it stays out of :meth:`as_dict` payloads

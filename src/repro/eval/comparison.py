@@ -46,10 +46,22 @@ class FrameworkSpec:
     builder: Callable[..., object]
     categories: tuple[str, ...] | None = None
 
+    @property
+    def fixed_length(self) -> bool:
+        """True for the fixed-length BRNNs (BLSTM, BGRU)."""
+        return self.builder in (BLSTMNet, BGRUNet)
+
+    def batch_size(self, scale: Scale) -> int:
+        """Training batch size: fixed-length BRNNs batch at 64
+        (VulDeePecker's Table IV value; it also amortises the
+        per-timestep recurrence loop, which dominates BRNN training
+        cost on CPU), every other network at ``scale.batch_size``."""
+        return 64 if self.fixed_length else scale.batch_size
+
     def build_model(self, vocab_size: int, scale: Scale,
                     pretrained: np.ndarray | None,
                     seed: int) -> object:
-        if self.builder in (BLSTMNet, BGRUNet):
+        if self.fixed_length:
             return self.builder(vocab_size, dim=scale.dim,
                                 hidden=scale.hidden,
                                 time_steps=scale.time_steps,
@@ -126,15 +138,8 @@ def train_and_evaluate(
     model = spec.build_model(len(dataset.vocab), scale,
                              dataset.word2vec.vectors, seed)
     dataset.bind_embedding_aliases(model)
-    # Fixed-length models batch at 64 (VulDeePecker's Table IV value);
-    # it also amortises the per-timestep recurrence loop, which
-    # dominates BRNN training cost on CPU.
-    if getattr(model, "fixed_length", None):
-        batch_size = 64
-    else:
-        batch_size = scale.batch_size
     train_classifier(model, dataset.samples, epochs=scale.epochs,
-                     batch_size=batch_size,
+                     batch_size=spec.batch_size(scale),
                      lr=scale.learning_rate, seed=seed)
     test_samples = [g.sample(dataset.vocab) for g in test_gadgets]
     metrics = evaluate_classifier(model, test_samples,

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import SCALE_PRESETS, Quarantine, SEVulDet
+from repro.core.extract import CorpusExtractor
 from repro.core.serve import (CaseVerdict, ResultCache, ScanService,
                               ShardedResultCache)
 from repro.datasets.sard import generate_sard_corpus
@@ -234,6 +235,42 @@ class TestServiceLifecycle:
                          batch_size=4) as service:
             with pytest.raises(FileNotFoundError):
                 service.scan_paths([tmp_path / "nope.c"])
+
+    def test_extraction_error_surfaces_and_service_recovers(
+            self, detector, corpus, monkeypatch):
+        real_run = CorpusExtractor.run
+        calls = []
+
+        def run_failing_once(self, cases, failures=None):
+            calls.append(len(cases))
+            if len(calls) == 1:
+                raise RuntimeError("extractor exploded")
+            return real_run(self, cases, failures)
+
+        monkeypatch.setattr(CorpusExtractor, "run", run_failing_once)
+        with ScanService(detector, workers=2,
+                         batch_size=8) as service:
+            with pytest.raises(RuntimeError, match="exploded"):
+                service.scan_cases(corpus[:4])
+            verdicts = service.scan_cases(corpus[:4])
+        assert calls == [4, 4]  # the failed scan, then the retry
+        serial = [detector.detect_case(case) for case in corpus[:4]]
+        assert [list(v.findings) for v in verdicts] == serial
+
+    def test_abandoned_stream_leaves_no_drain_thread(self, detector,
+                                                     corpus):
+        def drains():
+            return [thread for thread in threading.enumerate()
+                    if thread.name == "scan-extract-drain"]
+
+        assert not drains()
+        with ScanService(detector, workers=2,
+                         batch_size=8) as service:
+            stream = service.scan_stream(corpus)
+            first = next(stream)
+            stream.close()
+            assert not drains()
+        assert first.name == corpus[0].name
 
 
 class TestScanCLI:

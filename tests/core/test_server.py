@@ -237,6 +237,23 @@ class TestAdmissionControl:
         assert stats["server"]["shed"] == 8
         assert stats["server"]["scans"] == 2
 
+    def test_refill_on_answer_is_never_shed(self, detector, corpus,
+                                            tmp_path):
+        # Regression: the budget slot used to be released only after
+        # the answer was sent, so a client that sent its next scan on
+        # receipt could find its one slot still taken.
+        with make_server(tmp_path, detector=detector,
+                         max_pending=1) as server:
+            with ScanClient(server.address, retry=None) as client:
+                statuses = []
+                for index in range(50):
+                    case = corpus[index % len(corpus)]
+                    client.send({"op": "scan", "id": str(index),
+                                 "name": case.name,
+                                 "source": case.source})
+                    statuses.append(client.receive()["status"])
+        assert statuses == ["ok"] * 50
+
     def test_round_robin_keeps_small_client_unstarved(
             self, detector, corpus, tmp_path):
         slow = corpus[0]

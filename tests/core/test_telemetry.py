@@ -81,7 +81,7 @@ class TestAggregation:
 
 class TestThreadSafety:
     """Regression: one Telemetry is shared across scorer worker
-    threads and the engine prefetch pump (via ScanService), but the
+    threads and the extraction drain thread (via ScanService), but the
     read-modify-writes on its plain dicts used to be unlocked —
     concurrent increments were silently lost."""
 

@@ -3,7 +3,7 @@
 The contract: ``forward_inference`` is *bitwise* identical to the
 autograd ``forward`` at float32.  These tests are what lets
 ``predict_proba`` route every eval-mode scoring call through the fused
-kernel without re-validating the serve/engine byte-identity pins.
+kernel without re-validating the serve/matrix byte-identity pins.
 """
 
 import threading
