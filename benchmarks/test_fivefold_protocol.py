@@ -24,11 +24,7 @@ def test_fivefold_protocol(benchmark, reporter, scale, train_cases):
                                channels=scale.channels,
                                pretrained=pretrained, seed=5)
 
-        return cross_validate(
-            gadgets, build, k=5, dim=scale.dim,
-            w2v_epochs=scale.w2v_epochs, epochs=scale.epochs,
-            batch_size=scale.batch_size, lr=scale.learning_rate,
-            seed=5)
+        return cross_validate(gadgets, build, scale=scale, k=5, seed=5)
 
     report = run_once(benchmark, experiment)
 

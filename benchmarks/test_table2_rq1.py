@@ -8,14 +8,10 @@ matrix cells.  Paper shape:
 * PS-CG beats CG for every network (path semantics help);
 * the flexible-length SEVulDet network on PS-CG is the best cell
   (paper: A 97.3 / P 96.2 / F1 94.2).
-
-One cell (SEVulDet x PS-CG) is re-run through the pre-refactor
-``train_and_evaluate`` path and must match the matrix cell exactly —
-the refactor moved the wiring, not the numbers.
 """
 
 from repro.datasets.adapters import FixedCorpusAdapter
-from repro.eval.comparison import FRAMEWORKS, train_and_evaluate
+from repro.eval.comparison import FRAMEWORKS
 from repro.eval.detector import FrameworkDetector
 from repro.eval.matrix import MatrixRunner
 
@@ -76,13 +72,6 @@ def test_table2_rq1_path_semantics(benchmark, reporter, scale,
                   **{k: row[k] for k in ("A(%)", "P(%)", "F1(%)")},
                   paper_A=paper_a, paper_P=paper_p, paper_F1=paper_f1)
     table.save_and_print()
-
-    # Parity gate: the matrix cell equals the pre-refactor serial path
-    # on the same seed, byte for byte.
-    legacy, _ = train_and_evaluate(
-        FRAMEWORKS["SEVulDet"], train_cases, test_cases, scale,
-        seed=17, gadget_kind="path-sensitive")
-    assert results[("SEVulDet", "path-sensitive")] == legacy
 
     # Shape 1: PS-CG >= CG on F1 for every network.
     for network in ("BLSTM", "BGRU", "SEVulDet"):

@@ -15,7 +15,8 @@ resolve.
 
 import numpy as np
 
-from repro.eval.comparison import FRAMEWORKS, train_and_evaluate
+from repro.core.context import RunContext
+from repro.eval.detector import FrameworkDetector
 
 from conftest import run_once
 
@@ -28,14 +29,17 @@ PAPER = {"CNN": (95.4, 88.4, 89.1),
 
 def test_table3_attention_ablation(benchmark, reporter, scale,
                                    train_cases, test_cases):
+    labels = [1 if case.vulnerable else 0 for case in test_cases]
+
     def experiment():
         results = {variant: [] for variant in VARIANTS}
         for variant in VARIANTS:
             for seed in SEEDS:
-                metrics, _ = train_and_evaluate(
-                    FRAMEWORKS[variant], train_cases, test_cases,
-                    scale, seed=seed)
-                results[variant].append(metrics)
+                detector = FrameworkDetector(variant, scale, seed=seed)
+                ctx = RunContext.create()
+                detector.fit(train_cases, ctx)
+                prediction = detector.predict(test_cases, ctx)
+                results[variant].append(prediction.metrics(labels))
         return results
 
     results = run_once(benchmark, experiment)

@@ -19,7 +19,7 @@ from .core.detector import Finding, SEVulDet
 from .core.config import SCALE_PRESETS, Scale, current_scale
 from .datasets import (CVE_CASES, TestCase, generate_nvd_corpus,
                        generate_sard_corpus, generate_xen_corpus)
-from .eval import FRAMEWORKS, Metrics, evaluate_static_tool, train_and_evaluate
+from .eval import FRAMEWORKS, Metrics
 
 __version__ = "1.0.0"
 
@@ -28,6 +28,6 @@ __all__ = [
     "SCALE_PRESETS", "Scale", "current_scale",
     "CVE_CASES", "TestCase", "generate_nvd_corpus",
     "generate_sard_corpus", "generate_xen_corpus",
-    "FRAMEWORKS", "Metrics", "evaluate_static_tool", "train_and_evaluate",
+    "FRAMEWORKS", "Metrics",
     "__version__",
 ]

@@ -24,10 +24,10 @@ from ..slicing.normalize import NORMALIZE_VERSION
 from .config import Scale, current_scale
 from .cwe_typing import CWETyper
 from .context import RunContext
-from .encode import EncodedDataset, encode_gadgets
+from .encode import EncodedDataset
 from .extract import PIPELINE_VERSION, LabeledGadget, extract_gadgets
 from .score import predict_proba
-from .train import TrainReport, train_classifier
+from .train import TrainReport, train_on_cases
 from .resilience import CaseFailure
 from .telemetry import Telemetry
 
@@ -107,14 +107,6 @@ class SEVulDet:
             case_timeout=self.case_timeout, workers=self.workers,
             resume=resume)
 
-    def _build_net(self, dataset: EncodedDataset) -> SEVulDetNet:
-        model = SEVulDetNet(
-            len(dataset.vocab), dim=self.scale.dim,
-            channels=self.scale.channels,
-            pretrained=dataset.word2vec.vectors, seed=self.seed)
-        dataset.bind_embedding_aliases(model)
-        return model
-
     def fit(self, cases: Sequence[TestCase],
             epochs: int | None = None, *,
             checkpoint_dir: str | Path | None = None,
@@ -122,10 +114,10 @@ class SEVulDet:
             ctx: RunContext | None = None) -> TrainReport:
         """Train on labelled corpus programs.
 
-        Runs extract (Steps I-III) -> encode (Step IV) -> train
-        (Step V) in turn, every step drawing its cache, quarantine,
-        telemetry and fault budget from one
-        :class:`~repro.core.context.RunContext` (``ctx``, or
+        Runs :func:`~repro.core.train.train_on_cases` — extract
+        (Steps I-III) -> encode (Step IV) -> train (Step V) — every
+        step drawing its cache, quarantine, telemetry and fault budget
+        from one :class:`~repro.core.context.RunContext` (``ctx``, or
         :meth:`run_context` when omitted).  A corpus that yields no
         gadgets raises ``ValueError``.
 
@@ -140,24 +132,18 @@ class SEVulDet:
             ctx = self.run_context(checkpoint_dir=checkpoint_dir,
                                    resume=resume)
         self.extraction_failures = ctx.failures
-        gadgets = ctx.extract_gadgets(cases, self.gadget_kind,
-                                      self.categories)
-        if not gadgets:
-            raise ValueError("no gadgets could be extracted from the "
-                             "training corpus")
-        dataset = encode_gadgets(gadgets, dim=self.scale.dim,
-                                 w2v_epochs=self.scale.w2v_epochs,
-                                 seed=self.seed, telemetry=ctx.telemetry)
-        model = self._build_net(dataset)
-        report = train_classifier(
-            model, dataset.samples,
-            epochs=epochs if epochs is not None else self.scale.epochs,
-            batch_size=self.scale.batch_size,
-            lr=self.scale.learning_rate, seed=self.seed,
-            telemetry=ctx.telemetry, checkpoint_dir=ctx.checkpoint_dir,
-            resume=ctx.resume)
-        self.dataset = dataset
-        self.model = model
+        scale, seed = self.scale, self.seed
+
+        def build(vocab_size: int, pretrained) -> SEVulDetNet:
+            return SEVulDetNet(vocab_size, dim=scale.dim,
+                               channels=scale.channels,
+                               pretrained=pretrained, seed=seed)
+
+        self.model, self.dataset, report = train_on_cases(
+            ctx, cases, kind=self.gadget_kind,
+            categories=self.categories, use_control=True, build=build,
+            scale=scale, seed=seed, batch_size=scale.batch_size,
+            epochs=epochs if epochs is not None else scale.epochs)
         return report
 
     def fit_typer(self, epochs: int = 12) -> list[float]:

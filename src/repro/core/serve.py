@@ -57,9 +57,8 @@ from .extract import CaseResult
 from .score import SCORE_MIN_LENGTH
 from .telemetry import Telemetry
 
-__all__ = ["CaseVerdict", "ResultCache", "ShardedResultCache",
-           "ScanService", "Scorer", "expand_scan_paths",
-           "case_for_file"]
+__all__ = ["CaseVerdict", "ResultCache", "ScanService", "Scorer",
+           "expand_scan_paths", "case_for_file"]
 
 
 def expand_scan_paths(paths: Iterable[str | Path],
@@ -185,52 +184,6 @@ class ResultCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class ShardedResultCache:
-    """N independent :class:`ResultCache` shards selected by
-    fingerprint prefix.
-
-    The scan server's dispatcher threads all hit the result cache on
-    every request; one LRU behind one lock would serialize them.
-    Fingerprints are sha256 hex, so their leading bytes spread
-    uniformly — each shard sees ~1/N of the traffic and contention
-    drops N-fold.  The interface matches :class:`ResultCache`, so
-    :class:`ScanService` accepts either.
-    """
-
-    def __init__(self, capacity: int = 4096, shards: int = 8):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        per_shard = max(1, capacity // shards) if capacity else 0
-        self.shards = tuple(ResultCache(per_shard)
-                            for _ in range(shards))
-
-    def _shard(self, fingerprint: str) -> ResultCache:
-        return self.shards[int(fingerprint[:8], 16)
-                           % len(self.shards)]
-
-    def get(self, fingerprint: str, token: str) -> CaseVerdict | None:
-        return self._shard(fingerprint).get(fingerprint, token)
-
-    def put(self, fingerprint: str, token: str,
-            verdict: CaseVerdict) -> None:
-        self._shard(fingerprint).put(fingerprint, token, verdict)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self.shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self.shards)
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -456,9 +409,7 @@ class ScanService:
 
     def __init__(self, detector: SEVulDet, *, workers: int = 2,
                  batch_size: int = 64,
-                 result_cache_size: int = 1024,
-                 result_cache: ResultCache | ShardedResultCache
-                 | None = None,
+                 result_cache: ResultCache | None = None,
                  telemetry: Telemetry | None = None,
                  fn_cache=None):
         model, self._vocab = detector._require_trained()
@@ -472,7 +423,7 @@ class ScanService:
         # A caller-supplied cache outlives this service (e.g. across
         # restarts); config tokens keep shared entries safe.
         self.results = (result_cache if result_cache is not None
-                        else ResultCache(result_cache_size))
+                        else ResultCache())
         #: function-level incremental extraction cache (a
         #: FunctionGadgetCache or a directory path); when set, changed
         #: files re-slice only their edited call components

@@ -33,10 +33,10 @@ not once per invocation:
   that actually scored it, and the verdict cache is keyed by that
   token, so a reload can neither drop a request nor serve a verdict
   computed under a different configuration than the one it reports.
-* **Verdict cache** — one :class:`~repro.core.serve.
-  ShardedResultCache` owned by the *server* and passed to every
-  service generation, so verdicts survive reloads (token-keyed) and
-  dispatcher threads don't serialize on a single cache lock.
+* **Verdict cache** — one :class:`~repro.core.serve.ResultCache`
+  owned by the *server* and passed to every service generation, so
+  verdicts survive reloads (token-keyed).  Its lock is held for a
+  single ``OrderedDict`` operation per lookup.
 * **Failure answers** — a ``health`` op reports ``ready`` /
   ``draining``; shed responses carry a ``retry_after_ms`` hint; scans
   may carry a ``deadline_ms`` budget and are answered ``expired``
@@ -61,7 +61,7 @@ from ..datasets.manifest import TestCase
 from ..testing import faults
 from .detector import SEVulDet
 from .ipc import (ProtocolError, encode_message, read_message)
-from .serve import ScanService, ShardedResultCache
+from .serve import ResultCache, ScanService
 from .telemetry import Telemetry
 
 __all__ = ["ScanServer", "DEFAULT_SOCKET"]
@@ -170,7 +170,7 @@ class ScanServer:
                  workers: int = 2, batch_size: int = 64,
                  max_pending: int = 64, dispatchers: int = 2,
                  dispatch_batch: int = 16,
-                 cache_capacity: int = 4096, cache_shards: int = 8,
+                 cache_capacity: int = 4096,
                  telemetry: Telemetry | None = None):
         if model is None and detector is None:
             raise ValueError("need a model path or a detector")
@@ -194,8 +194,7 @@ class ScanServer:
         self.dispatch_batch = max(1, dispatch_batch)
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry())
-        self.results = ShardedResultCache(capacity=cache_capacity,
-                                          shards=cache_shards)
+        self.results = ResultCache(cache_capacity)
         self._handle: _ServiceHandle | None = None
         self._service_lock = threading.Lock()
         self._reload_lock = threading.Lock()

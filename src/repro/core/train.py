@@ -3,6 +3,9 @@
 The generic train loop both the SEVulDet model and the BRNN baselines
 share: class-rebalanced sampling, fixed- or bucketed-length batching,
 early stopping, and atomic resumable checkpoints.
+:func:`train_on_cases` is the one train-from-programs recipe (extract
+-> encode -> build -> train) that :meth:`SEVulDet.fit
+<repro.core.detector.SEVulDet.fit>` and the evaluation adapters share.
 """
 
 from __future__ import annotations
@@ -11,19 +14,23 @@ import hashlib
 import logging
 from pathlib import Path
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from ..datasets.manifest import TestCase
 from ..nn import (Adam, Module, Sample, bce_with_logits,
                   bucketed_batches, clip_grad_norm,
                   fixed_length_batches)
 from ..testing import faults
+from .config import Scale
+from .context import RunContext
+from .encode import EncodedDataset, encode_gadgets
 from .resilience import TrainingCheckpoint
 from .score import SCORE_MIN_LENGTH, evaluate_classifier
 from .telemetry import Telemetry
 
-__all__ = ["TrainReport", "train_classifier"]
+__all__ = ["TrainReport", "train_classifier", "train_on_cases"]
 
 logger = logging.getLogger(__name__)
 
@@ -217,6 +224,44 @@ def train_classifier(model: Module, samples: Sequence[Sample], *,
         model.load_state_dict(best_state)
     model.eval()
     return report
+
+
+def train_on_cases(ctx: RunContext, cases: Sequence[TestCase], *,
+                   kind: str, categories: tuple[str, ...] | None,
+                   use_control: bool,
+                   build: Callable[[int, np.ndarray | None], Module],
+                   scale: Scale, seed: int, batch_size: int,
+                   epochs: int
+                   ) -> tuple[Module, EncodedDataset, TrainReport]:
+    """Train a fresh gadget classifier on labelled programs.
+
+    Extracts gadgets from ``cases`` through ``ctx`` (Steps I-III, with
+    the ``kind`` / ``categories`` / ``use_control`` settings), encodes
+    them (Step IV: vocabulary + word2vec at ``scale.dim`` /
+    ``scale.w2v_epochs``), builds the network with
+    ``build(vocab_size, pretrained)``, binds the rare-token aliases to
+    its embedding and trains it (Step V) at ``scale.learning_rate``.
+    Telemetry, checkpoint directory and resume flag come from ``ctx``.
+    A corpus that yields no gadgets raises ``ValueError``.
+
+    Returns:
+        (the trained model, the training EncodedDataset, the report).
+    """
+    gadgets = ctx.extract_gadgets(cases, kind, categories,
+                                  use_control=use_control)
+    if not gadgets:
+        raise ValueError("no gadgets could be extracted from the "
+                         "training corpus")
+    dataset = encode_gadgets(gadgets, dim=scale.dim,
+                             w2v_epochs=scale.w2v_epochs, seed=seed,
+                             telemetry=ctx.telemetry)
+    model = build(len(dataset.vocab), dataset.word2vec.vectors)
+    dataset.bind_embedding_aliases(model)
+    report = train_classifier(
+        model, dataset.samples, epochs=epochs, batch_size=batch_size,
+        lr=scale.learning_rate, seed=seed, telemetry=ctx.telemetry,
+        checkpoint_dir=ctx.checkpoint_dir, resume=ctx.resume)
+    return model, dataset, report
 
 
 def _oversample(samples: list[Sample],

@@ -1,4 +1,4 @@
-"""Metrics, cross-validation, and framework comparison drivers."""
+"""Metrics, cross-validation, and the detector evaluation protocol."""
 
 from .metrics import Confusion, Metrics, confusion_from, metrics_from
 from .crossval import kfold_indices, kfold_split, stratified_kfold_indices
@@ -16,23 +16,20 @@ __all__ = [
     "OperatingPoint", "best_f1_threshold", "precision_recall_points",
     "roc_auc", "roc_points", "sweep_thresholds", "threshold_for_fpr",
     "atomic_write_text",
-    "FRAMEWORKS", "FrameworkSpec", "evaluate_static_tool",
-    "train_and_evaluate",
+    "FRAMEWORKS", "FrameworkSpec",
     "CrossValidationReport", "FoldResult", "cross_validate",
     "Detector", "Prediction", "FrameworkDetector", "StaticToolDetector",
     "FuzzDetector", "build_detector", "default_detectors",
-    "MatrixCell", "MatrixResult", "MatrixRunner", "run_matrix",
+    "MatrixCell", "MatrixResult", "MatrixRunner",
 ]
 
-_COMPARISON_NAMES = {"FRAMEWORKS", "FrameworkSpec",
-                     "evaluate_static_tool", "train_and_evaluate"}
+_COMPARISON_NAMES = {"FRAMEWORKS", "FrameworkSpec"}
 _PROTOCOL_NAMES = {"CrossValidationReport", "FoldResult",
                    "cross_validate"}
 _DETECTOR_NAMES = {"Detector", "Prediction", "FrameworkDetector",
                    "StaticToolDetector", "FuzzDetector",
                    "build_detector", "default_detectors"}
-_MATRIX_NAMES = {"MatrixCell", "MatrixResult", "MatrixRunner",
-                 "run_matrix"}
+_MATRIX_NAMES = {"MatrixCell", "MatrixResult", "MatrixRunner"}
 
 
 def __getattr__(name: str):

@@ -1,31 +1,27 @@
 """Detector adapters: one protocol over every evaluated system.
 
-The repo historically ran deep-learning frameworks through
-:func:`repro.eval.comparison.train_and_evaluate` and classical
-scanners through :func:`~repro.eval.comparison.evaluate_static_tool` —
-two disjoint code paths re-wired by hand in every table benchmark.
-This module closes that gap: every system is a :class:`Detector`
-(``name`` / optional ``fit`` / ``predict``) and the matrix runner
-(:mod:`repro.eval.matrix`) treats them uniformly.
+Every system the paper compares is a :class:`Detector` (``name`` /
+optional ``fit`` / ``predict``); the table benchmarks, the tests and
+the matrix runner (:mod:`repro.eval.matrix`) all evaluate through it —
+there is no second train-and-score driver.
 
 Three adapter families cover the existing systems:
 
-* :class:`FrameworkDetector` — any :data:`FRAMEWORKS` entry, run
-  extract -> encode -> train over a shared
-  :class:`~repro.core.context.RunContext`, so the gadget caches,
-  quarantine, and telemetry are reused across matrix cells.  The
-  training and scoring path is pinned to produce metrics *identical*
-  to ``train_and_evaluate`` on the same seeds (see tests).
+* :class:`FrameworkDetector` — any :data:`FRAMEWORKS` entry, trained
+  by :func:`~repro.core.train.train_on_cases` (the recipe
+  :meth:`SEVulDet.fit <repro.core.detector.SEVulDet.fit>` runs) over a
+  shared :class:`~repro.core.context.RunContext`, so the gadget
+  caches, quarantine, and telemetry are reused across matrix cells.
 * :class:`StaticToolDetector` — flawfinder/RATS/checkmarx/vuddy.
   Verdicts route through the context's telemetry (per-tool wall time
-  and cases/sec), which the old ``evaluate_static_tool`` never did.
+  and cases/sec).
 * :class:`FuzzDetector` — the AFL-style fuzzer, bounded per case.
 
 Every adapter returns a :class:`Prediction` carrying *per-case*
 verdicts (aligned with the input cases — the common denominator the
 paired bootstrap compares across detector families) plus, for gadget
-models, the per-gadget scores/labels whose metrics match the
-historical gadget-level tables.
+models, the per-gadget scores/labels behind the paper's gadget-level
+tables.
 """
 
 from __future__ import annotations
@@ -36,10 +32,10 @@ from typing import Protocol, Sequence, runtime_checkable
 from ..baselines import AFLFuzzer
 from ..core.config import Scale, current_scale
 from ..core.context import RunContext
-from ..core.encode import encode_gadgets
+from ..core.encode import EncodedDataset
 from ..core.extract import GadgetDeduplicator, LabeledGadget
 from ..core.score import predict_proba
-from ..core.train import train_classifier
+from ..core.train import train_on_cases
 from ..datasets.adapters import derive_seed
 from ..datasets.manifest import TestCase
 from .comparison import FRAMEWORKS, FrameworkSpec, StaticTool
@@ -82,8 +78,7 @@ class Prediction:
 
         ``labels`` are the per-case ground truth; gadget-basis
         predictions ignore them in favour of their own gadget labels
-        (that is what makes the numbers comparable with the historical
-        ``train_and_evaluate`` tables).
+        (the paper's gadget-level tables).
         """
         if self.basis == "gadget":
             assert self.gadget_scores is not None
@@ -121,11 +116,9 @@ class Detector(Protocol):
 class FrameworkDetector:
     """A :data:`FRAMEWORKS` entry behind the :class:`Detector` protocol.
 
-    Fitting makes the calls ``train_and_evaluate`` makes, through the
-    shared context — same extraction configuration, same
-    ``encode_gadgets`` parameters, same builder and alias binding, same
-    :meth:`FrameworkSpec.batch_size` policy — so the resulting weights
-    and test metrics are equal on equal seeds.  Prediction extracts the
+    Fitting runs :func:`~repro.core.train.train_on_cases` through the
+    shared context with the spec's extraction settings, builder and
+    :meth:`FrameworkSpec.batch_size` policy.  Prediction extracts the
     test corpus per case (so verdicts can be attributed to programs),
     re-applies corpus-order deduplication to recover the one-shot
     gadget list, and scores that list once; each case's score is the
@@ -137,7 +130,6 @@ class FrameworkDetector:
                  scale: Scale | None = None, *, seed: int = 7,
                  threshold: float = 0.5,
                  categories: tuple[str, ...] | None = None,
-                 use_spec_categories: bool = True,
                  gadget_kind: str | None = None,
                  name: str | None = None):
         self.spec = FRAMEWORKS[spec] if isinstance(spec, str) else spec
@@ -145,41 +137,27 @@ class FrameworkDetector:
         self.seed = seed
         self.threshold = threshold
         self.kind = gadget_kind or self.spec.gadget_kind
-        if categories is not None:
-            self.categories: tuple[str, ...] | None = categories
-        elif use_spec_categories:
-            self.categories = self.spec.categories
-        else:
-            self.categories = None
+        self.categories = (categories if categories is not None
+                           else self.spec.categories)
         self.name = name if name is not None else self.spec.name
-        self._model = None
-        self._vocab = None
+        #: the trained network and its training EncodedDataset, set by
+        #: :meth:`fit`
+        self.model = None
+        self.dataset: EncodedDataset | None = None
 
     def fit(self, cases: Sequence[TestCase], ctx: RunContext) -> None:
         spec, scale, seed = self.spec, self.scale, self.seed
-        gadgets = ctx.extract_gadgets(cases, self.kind, self.categories,
-                                      use_control=spec.use_control)
-        if not gadgets:
-            raise ValueError("no gadgets could be extracted from the "
-                             "training corpus")
-        dataset = encode_gadgets(gadgets, dim=scale.dim,
-                                 w2v_epochs=scale.w2v_epochs, seed=seed,
-                                 telemetry=ctx.telemetry)
-        model = spec.build_model(len(dataset.vocab), scale,
-                                 dataset.word2vec.vectors, seed)
-        dataset.bind_embedding_aliases(model)
-        train_classifier(model, dataset.samples, epochs=scale.epochs,
-                         batch_size=spec.batch_size(scale),
-                         lr=scale.learning_rate, seed=seed,
-                         telemetry=ctx.telemetry,
-                         checkpoint_dir=ctx.checkpoint_dir,
-                         resume=ctx.resume)
-        self._model = model
-        self._vocab = dataset.vocab
+        self.model, self.dataset, _ = train_on_cases(
+            ctx, cases, kind=self.kind, categories=self.categories,
+            use_control=spec.use_control,
+            build=lambda vocab_size, pretrained: spec.build_model(
+                vocab_size, scale, pretrained, seed),
+            scale=scale, seed=seed, batch_size=spec.batch_size(scale),
+            epochs=scale.epochs)
 
     def predict(self, cases: Sequence[TestCase],
                 ctx: RunContext) -> Prediction:
-        if self._model is None or self._vocab is None:
+        if self.model is None or self.dataset is None:
             raise RuntimeError(
                 f"{self.name}: predict() before fit()")
         with ctx.extractor(self.kind, self.categories,
@@ -188,7 +166,7 @@ class FrameworkDetector:
             per_case = extractor.run(cases, failures=ctx.failures)
         # Corpus-order dedup over the per-case stream reconstructs the
         # one-shot extract_gadgets() list exactly, so gadget metrics
-        # match the historical serial path byte for byte.
+        # equal scoring that list in one pass.
         deduper = GadgetDeduplicator(enabled=True)
         deduped: list[LabeledGadget] = []
         for result in per_case:
@@ -196,8 +174,8 @@ class FrameworkDetector:
         gadget_scores: list[float] = []
         score_of: dict[tuple, float] = {}
         if deduped:
-            samples = [g.sample(self._vocab) for g in deduped]
-            raw = predict_proba(self._model, samples)
+            samples = [g.sample(self.dataset.vocab) for g in deduped]
+            raw = predict_proba(self.model, samples)
             gadget_scores = [float(s) for s in raw]
             score_of = {(g.tokens, g.label): score
                         for g, score in zip(deduped, gadget_scores)}
@@ -221,8 +199,7 @@ class StaticToolDetector:
 
     Predictions run inside a telemetry stage (``tool:<name>``) and
     bump a per-tool case counter, so matrix runs can report each
-    tool's wall time and cases/sec — ``evaluate_static_tool`` was
-    invisible to :class:`~repro.core.telemetry.Telemetry`.
+    tool's wall time and cases/sec.
     """
 
     def __init__(self, tool: StaticTool, name: str | None = None):

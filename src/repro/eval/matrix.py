@@ -24,7 +24,7 @@ Design points the table benchmarks and CI rely on:
   derived from (grid seed, detector, dataset), so each cell's
   randomness is independent yet reproducible.  Caller-supplied
   detector instances/factories keep their own seeds — that is how the
-  table benchmarks pin the historical seeds for parity checks.
+  table benchmarks pin their historical seeds.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .metrics import Metrics
 from .report import Table, atomic_write_text
 from .significance import paired_bootstrap
 
-__all__ = ["MatrixCell", "MatrixResult", "MatrixRunner", "run_matrix"]
+__all__ = ["MatrixCell", "MatrixResult", "MatrixRunner"]
 
 #: Bump when the cell JSON layout changes; resume ignores other versions.
 CELL_SCHEMA = 1
@@ -371,9 +371,3 @@ class MatrixRunner:
                 self.out_dir / "matrix.json",
                 json.dumps(result.to_json(), indent=2, sort_keys=True))
         return result
-
-
-def run_matrix(detectors: Sequence, datasets: Sequence[DatasetAdapter],
-               **kwargs) -> MatrixResult:
-    """One-call convenience over :class:`MatrixRunner`."""
-    return MatrixRunner(detectors, datasets, **kwargs).run()

@@ -6,12 +6,13 @@ equal parts for five-fold cross-validation."  This module runs that
 protocol at any scale: sample gadgets, stratified k-fold split, train a
 fresh model per fold, aggregate the fold metrics.
 
-Pass ``cases`` (plus an optional shared
-:class:`~repro.core.context.RunContext`) and extraction runs through
-the context's gadget cache — repeated protocol runs over the same
-corpus (ablations, threshold sweeps) skip the frontend entirely.  Each
-fold trains with a private :class:`~repro.core.telemetry.Telemetry`,
-surfaced per fold on :class:`FoldResult` and aggregated by
+The gadget pool comes from the caller: extracting it through a
+cache-bearing :meth:`RunContext.extract_gadgets
+<repro.core.context.RunContext.extract_gadgets>` lets repeated protocol
+runs over the same corpus (ablations, threshold sweeps) skip the
+frontend entirely.  Each fold trains with a private
+:class:`~repro.core.telemetry.Telemetry`, surfaced per fold on
+:class:`FoldResult` and aggregated by
 :meth:`CrossValidationReport.summary`.
 """
 
@@ -22,13 +23,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.context import RunContext
+from ..core.config import Scale
 from ..core.encode import encode_gadgets
 from ..core.extract import LabeledGadget
 from ..core.score import evaluate_classifier
 from ..core.telemetry import Telemetry
 from ..core.train import train_classifier
-from ..datasets.manifest import TestCase
 from .crossval import stratified_kfold_indices
 from .metrics import Metrics
 
@@ -101,50 +101,31 @@ class CrossValidationReport:
 
 
 def cross_validate(
-    gadgets: Sequence[LabeledGadget] | None,
+    gadgets: Sequence[LabeledGadget],
     model_builder: Callable[[int, np.ndarray | None], object],
     *,
-    cases: Sequence[TestCase] | None = None,
-    ctx: RunContext | None = None,
-    kind: str = "path-sensitive",
-    categories: tuple[str, ...] | None = None,
+    scale: Scale,
     k: int = 5,
     sample: int | None = None,
-    dim: int = 16,
-    w2v_epochs: int = 2,
-    epochs: int = 16,
-    batch_size: int = 16,
-    lr: float = 3e-3,
     threshold: float = 0.5,
     seed: int = 0,
 ) -> CrossValidationReport:
     """Run the paper's k-fold protocol.
 
     Args:
-        gadgets: the labelled gadget pool (pass this *or* ``cases``).
+        gadgets: the labelled gadget pool.
         model_builder: callable ``(vocab_size, pretrained) -> model``;
             called fresh for every fold.
-        cases: corpus programs to extract the pool from — with a
-            cache-bearing ``ctx``, repeated runs hit the gadget cache
-            instead of re-slicing.
-        ctx: shared :class:`~repro.core.context.RunContext` (cache,
-            quarantine, telemetry, fault budget); a fresh default
-            context is made when omitted.
-        kind, categories: extraction settings for ``cases``.
+        scale: sizing preset — embedding width and word2vec epochs
+            (``dim``, ``w2v_epochs``) and the per-fold training
+            schedule (``epochs``, ``batch_size``, ``learning_rate``).
         k: number of folds (paper: 5).
         sample: randomly subsample this many gadgets first (paper:
             30,000 per category); None keeps everything.
         threshold: decision threshold for the fold metrics.
     """
-    if (gadgets is None) == (cases is None):
-        raise ValueError("pass exactly one of gadgets or cases")
-    if ctx is None:
-        ctx = RunContext.create()
     rng = np.random.default_rng(seed)
-    if cases is not None:
-        pool = ctx.extract_gadgets(cases, kind, categories)
-    else:
-        pool = list(gadgets)
+    pool = list(gadgets)
     if sample is not None and sample < len(pool):
         picks = rng.choice(len(pool), size=sample, replace=False)
         pool = [pool[int(i)] for i in picks]
@@ -154,8 +135,8 @@ def cross_validate(
     # One vocabulary + embedding per run (training folds dominate the
     # corpus, so vocabulary leakage across folds is negligible and the
     # paper pre-trains word2vec on the full corpus the same way).
-    dataset = encode_gadgets(pool, dim=dim, w2v_epochs=w2v_epochs,
-                             seed=seed, telemetry=ctx.telemetry)
+    dataset = encode_gadgets(pool, dim=scale.dim,
+                             w2v_epochs=scale.w2v_epochs, seed=seed)
     labels = [g.label for g in pool]
 
     folds: list[FoldResult] = []
@@ -168,7 +149,9 @@ def cross_validate(
         # different sample sets, so none may resume another's run
         fold_telemetry = Telemetry()
         train_classifier(model, dataset.subset(train_idx),
-                         epochs=epochs, batch_size=batch_size, lr=lr,
+                         epochs=scale.epochs,
+                         batch_size=scale.batch_size,
+                         lr=scale.learning_rate,
                          seed=seed + fold_index,
                          telemetry=fold_telemetry)
         with fold_telemetry.stage("evaluate"):

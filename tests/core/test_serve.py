@@ -20,8 +20,7 @@ import pytest
 
 from repro.core import SCALE_PRESETS, Quarantine, SEVulDet
 from repro.core.extract import CorpusExtractor
-from repro.core.serve import (CaseVerdict, ResultCache, ScanService,
-                              ShardedResultCache)
+from repro.core.serve import CaseVerdict, ResultCache, ScanService
 from repro.datasets.sard import generate_sard_corpus
 from repro.testing import faults
 
@@ -402,50 +401,10 @@ class TestConcurrentCallers:
 
 class TestScorerOptions:
     def test_removed_keywords_rejected(self, detector):
-        # one scorer, float32 only: backend and precision options are
-        # gone, not silently ignored
+        # one scorer, float32 only, one default verdict-cache size:
+        # removed options are gone, not silently ignored
         for option in ({"scorer": "thread"}, {"dtype": "float16"},
-                       {"calibration": []}, {"restart_policy": None}):
+                       {"calibration": []}, {"restart_policy": None},
+                       {"result_cache_size": 16}):
             with pytest.raises(TypeError):
                 ScanService(detector, **option)
-
-
-class TestShardedResultCache:
-    def test_roundtrip_and_stats(self):
-        cache = ShardedResultCache(capacity=64, shards=4)
-        verdicts = {}
-        for i in range(16):
-            fingerprint = f"{i:08x}{'0' * 56}"
-            verdict = CaseVerdict(name=f"c{i}",
-                                  fingerprint=fingerprint,
-                                  status="clean")
-            cache.put(fingerprint, "cfg", verdict)
-            verdicts[fingerprint] = verdict
-        assert len(cache) == 16
-        for fingerprint, verdict in verdicts.items():
-            assert cache.get(fingerprint, "cfg") is verdict
-        assert cache.get("f" * 64, "cfg") is None
-        assert cache.hits == 16
-        assert cache.misses == 1
-        assert cache.hit_rate() == 16 / 17
-        # keys actually spread across shards
-        assert sum(1 for shard in cache.shards if len(shard)) > 1
-
-    def test_config_token_separates_entries(self):
-        cache = ShardedResultCache(capacity=8, shards=2)
-        verdict = CaseVerdict(name="c", fingerprint="ab" * 32,
-                              status="clean")
-        cache.put("ab" * 32, "model-a", verdict)
-        assert cache.get("ab" * 32, "model-b") is None
-        assert cache.get("ab" * 32, "model-a") is verdict
-
-    def test_service_accepts_sharded_cache(self, detector, corpus):
-        shared = ShardedResultCache(capacity=256, shards=4)
-        with ScanService(detector, workers=1, batch_size=8,
-                         result_cache=shared) as service:
-            cold = service.scan_cases(corpus[:6])
-            warm = service.scan_cases(corpus[:6])
-        assert all(not v.cached for v in cold)
-        assert all(v.cached for v in warm)
-        assert [v.as_record() for v in warm] == \
-            [v.as_record() for v in cold]

@@ -1,11 +1,13 @@
-"""Tests for the framework-comparison harness."""
+"""Tests for the framework registry and for train-then-score runs
+through the Detector protocol."""
 
 import pytest
 
 from repro.core.config import Scale
+from repro.core.context import RunContext
 from repro.datasets.sard import generate_sard_corpus
-from repro.eval.comparison import (FRAMEWORKS, evaluate_static_tool,
-                                   train_and_evaluate)
+from repro.eval.comparison import FRAMEWORKS
+from repro.eval.detector import FrameworkDetector, StaticToolDetector
 
 TINY = Scale("tiny", cases_per_experiment=20, dim=8, channels=8,
              hidden=8, epochs=3, batch_size=16, time_steps=20,
@@ -31,7 +33,23 @@ class TestFrameworkSpecs:
         assert FRAMEWORKS["SEVulDet"].gadget_kind == "path-sensitive"
 
 
+def _fit_and_score(framework, train, test, **options):
+    """Train ``framework`` on ``train`` and score ``test`` through the
+    Detector protocol; (test metrics, the fitted detector)."""
+    detector = FrameworkDetector(framework, TINY, seed=1, **options)
+    ctx = RunContext.create()
+    detector.fit(train, ctx)
+    prediction = detector.predict(test, ctx)
+    return prediction.metrics(_labels(test)), detector
+
+
+def _labels(cases):
+    return [1 if case.vulnerable else 0 for case in cases]
+
+
 class TestTrainAndEvaluate:
+    """Train-then-score runs through :class:`FrameworkDetector`."""
+
     @pytest.fixture(scope="class")
     def corpora(self):
         return (generate_sard_corpus(24, seed=51),
@@ -39,40 +57,36 @@ class TestTrainAndEvaluate:
 
     def test_sevuldet_runs_end_to_end(self, corpora):
         train, test = corpora
-        metrics, dataset = train_and_evaluate(
-            FRAMEWORKS["SEVulDet"], train, test, TINY, seed=1)
+        metrics, detector = _fit_and_score("SEVulDet", train, test)
         assert 0.0 <= metrics.f1 <= 1.0
-        assert len(dataset.samples) > 0
+        assert len(detector.dataset.samples) > 0
 
     def test_fixed_length_framework_runs(self, corpora):
         train, test = corpora
-        metrics, _ = train_and_evaluate(
-            FRAMEWORKS["SySeVR"], train, test, TINY, seed=1)
+        metrics, _ = _fit_and_score("SySeVR", train, test)
         assert 0.0 <= metrics.accuracy <= 1.0
 
     def test_gadget_kind_override(self, corpora):
         train, test = corpora
-        metrics, dataset = train_and_evaluate(
-            FRAMEWORKS["BLSTM"], train, test, TINY, seed=1,
-            gadget_kind="path-sensitive")
-        assert dataset.gadgets[0].kind == "path-sensitive"
+        _, detector = _fit_and_score("BLSTM", train, test,
+                                     gadget_kind="path-sensitive")
+        assert detector.dataset.gadgets[0].kind == "path-sensitive"
 
     def test_category_override(self, corpora):
         train, test = corpora
-        _, dataset = train_and_evaluate(
-            FRAMEWORKS["SEVulDet"], train, test, TINY, seed=1,
-            categories=("AU",))
-        assert all(g.category == "AU" for g in dataset.gadgets)
+        _, detector = _fit_and_score("SEVulDet", train, test,
+                                     categories=("AU",))
+        assert all(g.category == "AU" for g in detector.dataset.gadgets)
 
     def test_empty_gadgets_raises(self):
-        with pytest.raises(ValueError):
-            train_and_evaluate(FRAMEWORKS["SEVulDet"], [], [], TINY)
+        with pytest.raises(ValueError, match="no gadgets"):
+            FrameworkDetector("SEVulDet", TINY).fit(
+                [], RunContext.create())
 
 
 class TestStaticToolEvaluation:
     def test_perfect_oracle_tool(self):
         cases = generate_sard_corpus(20, seed=53)
-        truth = {c.name: c.vulnerable for c in cases}
 
         class Oracle:
             name = "Oracle"
@@ -81,8 +95,9 @@ class TestStaticToolEvaluation:
                 return any(c.source == source and c.vulnerable
                            for c in cases)
 
-        metrics = evaluate_static_tool(Oracle(), cases)
-        assert metrics.accuracy == 1.0
+        prediction = StaticToolDetector(Oracle()).predict(
+            cases, RunContext.create())
+        assert prediction.metrics(_labels(cases)).accuracy == 1.0
 
     def test_always_negative_tool(self):
         cases = generate_sard_corpus(20, seed=54)
@@ -93,6 +108,7 @@ class TestStaticToolEvaluation:
             def flags(self, source):
                 return False
 
-        metrics = evaluate_static_tool(Mute(), cases)
+        metrics = StaticToolDetector(Mute()).predict(
+            cases, RunContext.create()).metrics(_labels(cases))
         assert metrics.fpr == 0.0
         assert metrics.fnr == 1.0

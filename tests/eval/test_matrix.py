@@ -1,25 +1,31 @@
 """Detector protocol + matrix runner tests.
 
-The load-bearing one is the parity pin: a :class:`FrameworkDetector`
-cell must reproduce ``train_and_evaluate``'s metrics exactly on the
-same seed — the protocol refactor moved wiring, not numbers.  Runs at
-a deliberately tiny scale so the whole module stays fast.
+The load-bearing ones are the scoring pins: a
+:class:`FrameworkDetector`'s gadget metrics equal one pass of
+``evaluate_classifier`` over the one-shot deduplicated test gadgets,
+and its ``fit`` trains exactly the weights ``SEVulDet.fit`` trains on
+the same seed.  Runs at a deliberately tiny scale so the whole module
+stays fast.
 """
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.baselines import FlawfinderScanner, VuddyScanner
 from repro.core.config import Scale
 from repro.core.context import RunContext
+from repro.core.detector import SEVulDet
+from repro.core.extract import extract_gadgets
+from repro.core.score import evaluate_classifier
 from repro.datasets.adapters import FixedCorpusAdapter, SardAdapter
 from repro.datasets.sard import generate_sard_corpus
-from repro.eval.comparison import FRAMEWORKS, train_and_evaluate
 from repro.eval.detector import (FrameworkDetector, FuzzDetector,
                                  Prediction, StaticToolDetector,
                                  build_detector, default_detectors)
-from repro.eval.matrix import MatrixRunner, run_matrix
+from repro.eval.matrix import MatrixRunner
 
 TINY = Scale("tiny", cases_per_experiment=24, dim=6, channels=6,
              hidden=6, epochs=2, batch_size=8, time_steps=24,
@@ -35,15 +41,40 @@ def corpus():
 class TestFrameworkDetectorParity:
     @pytest.mark.parametrize("framework", ["SEVulDet", "SySeVR"])
     def test_metrics_equal_serial_path(self, corpus, framework):
+        # per-case extraction + corpus-order dedup must score exactly
+        # the one-shot deduplicated gadget list, in one pass
         train, test = corpus
-        legacy, _ = train_and_evaluate(
-            FRAMEWORKS[framework], train, test, TINY, seed=17)
         detector = FrameworkDetector(framework, TINY, seed=17)
         ctx = RunContext.create()
         detector.fit(train, ctx)
         prediction = detector.predict(test, ctx)
+        one_shot = extract_gadgets(
+            test, kind=detector.kind, categories=detector.categories,
+            use_control=detector.spec.use_control)
+        expected = evaluate_classifier(
+            detector.model,
+            [g.sample(detector.dataset.vocab) for g in one_shot],
+            threshold=detector.threshold)
         labels = [1 if case.vulnerable else 0 for case in test]
-        assert prediction.metrics(labels) == legacy
+        assert prediction.gadget_labels == [g.label for g in one_shot]
+        assert prediction.metrics(labels) == expected
+
+    def test_facade_and_adapter_train_equal_weights(self, corpus):
+        # SEVulDet.fit and FrameworkDetector.fit share one recipe; the
+        # argument mapping must make their weights bit-identical.  A
+        # batch of 2 is smaller than the corpus's length buckets, so a
+        # batch-size mismatch shows too.
+        train, _ = corpus
+        scale = replace(TINY, batch_size=2)
+        facade = SEVulDet(scale=scale, seed=17)
+        facade.fit(train)
+        adapter = FrameworkDetector("SEVulDet", scale, seed=17)
+        adapter.fit(train, RunContext.create())
+        expected = facade.model.state_dict()
+        actual = adapter.model.state_dict()
+        assert expected.keys() == actual.keys()
+        for name, array in expected.items():
+            assert np.array_equal(array, actual[name]), name
 
     def test_predict_before_fit_raises(self, corpus):
         _, test = corpus
@@ -138,10 +169,10 @@ class TestMatrixRunner:
     def test_grid_runs_and_errors_are_cells(self, corpus, tmp_path):
         train, test = corpus
         adapter = FixedCorpusAdapter("fixed", train, test)
-        result = run_matrix(
+        result = MatrixRunner(
             ["flawfinder", "rats", _Exploding()], [adapter],
             baseline="flawfinder", seed=5, out_dir=tmp_path,
-            resamples=50)
+            resamples=50).run()
         assert len(result.cells) == 3
         exploded = result.cell("Exploding", "fixed")
         assert not exploded.ok
@@ -161,8 +192,8 @@ class TestMatrixRunner:
     def test_resume_uses_cached_cells(self, corpus, tmp_path):
         train, test = corpus
         adapter = FixedCorpusAdapter("fixed", train, test)
-        first = run_matrix(["flawfinder"], [adapter], seed=5,
-                           out_dir=tmp_path, resamples=20)
+        first = MatrixRunner(["flawfinder"], [adapter], seed=5,
+                             out_dir=tmp_path, resamples=20).run()
 
         class _NeverCalled:
             name = "Flawfinder"
@@ -170,15 +201,15 @@ class TestMatrixRunner:
             def predict(self, cases, ctx):
                 raise AssertionError("cache should have been used")
 
-        second = run_matrix([_NeverCalled()], [adapter], seed=5,
-                            out_dir=tmp_path, resamples=20)
+        second = MatrixRunner([_NeverCalled()], [adapter], seed=5,
+                              out_dir=tmp_path, resamples=20).run()
         assert second.cells[0].to_json() == first.cells[0].to_json()
 
     def test_no_resume_recomputes(self, corpus, tmp_path):
         train, test = corpus
         adapter = FixedCorpusAdapter("fixed", train, test)
-        run_matrix(["flawfinder"], [adapter], seed=5,
-                   out_dir=tmp_path, resamples=20)
+        MatrixRunner(["flawfinder"], [adapter], seed=5,
+                     out_dir=tmp_path, resamples=20).run()
         calls = []
 
         class _Counting:
@@ -190,19 +221,19 @@ class TestMatrixRunner:
                                   verdicts=[0] * len(cases),
                                   scores=[0.0] * len(cases))
 
-        run_matrix([_Counting()], [adapter], seed=5,
-                   out_dir=tmp_path, resume=False, resamples=20)
+        MatrixRunner([_Counting()], [adapter], seed=5,
+                     out_dir=tmp_path, resume=False, resamples=20).run()
         assert calls  # recomputed despite the cached cell
 
     def test_corrupt_cell_artifact_recomputed(self, corpus, tmp_path):
         train, test = corpus
         adapter = FixedCorpusAdapter("fixed", train, test)
-        run_matrix(["flawfinder"], [adapter], seed=5,
-                   out_dir=tmp_path, resamples=20)
+        MatrixRunner(["flawfinder"], [adapter], seed=5,
+                     out_dir=tmp_path, resamples=20).run()
         cell_file = next((tmp_path / "cells").iterdir())
         cell_file.write_text("{ torn", encoding="utf-8")
-        result = run_matrix(["flawfinder"], [adapter], seed=5,
-                            out_dir=tmp_path, resamples=20)
+        result = MatrixRunner(["flawfinder"], [adapter], seed=5,
+                              out_dir=tmp_path, resamples=20).run()
         assert result.cells[0].ok
         assert json.loads(cell_file.read_text())["status"] == "ok"
 
@@ -221,16 +252,16 @@ class TestMatrixRunner:
                                   verdicts=[0] * len(cases),
                                   scores=[0.0] * len(cases))
 
-        run_matrix([_Spy("a"), _Spy("b")], [SardAdapter(8, 6)],
-                   seed=3, resamples=0)
+        MatrixRunner([_Spy("a"), _Spy("b")], [SardAdapter(8, 6)],
+                     seed=3, resamples=0).run()
         assert seen["a"] == seen["b"]
 
     def test_leaderboard_renders_error_rows(self, corpus):
         train, test = corpus
         adapter = FixedCorpusAdapter("fixed", train, test)
-        result = run_matrix([_Exploding(), "flawfinder"], [adapter],
-                            baseline="flawfinder", seed=5,
-                            resamples=0)
+        result = MatrixRunner([_Exploding(), "flawfinder"], [adapter],
+                              baseline="flawfinder", seed=5,
+                              resamples=0).run()
         text = result.leaderboard().render()
         assert "error: RuntimeError: boom" in text
         assert "baseline" in text

@@ -12,11 +12,12 @@ from repro.baselines.afl import AFLFuzzer
 from repro.baselines.checkmarx import CheckmarxScanner
 from repro.baselines.flawfinder import FlawfinderScanner
 from repro.core.config import Scale
+from repro.core.context import RunContext
 from repro.core.detector import SEVulDet
 from repro.core.extract import extract_gadgets
 from repro.datasets.sard import generate_sard_corpus
 from repro.datasets.xen import CVE_CASES, generate_xen_corpus
-from repro.eval.comparison import evaluate_static_tool
+from repro.eval.detector import StaticToolDetector
 from repro.lang.interp import run_program
 
 SMALLISH = Scale("smallish", cases_per_experiment=70, dim=16,
@@ -52,9 +53,15 @@ class TestLearnedDetection:
                 findings = detector.detect(source)
                 return bool(findings)
 
-        learned = evaluate_static_tool(Wrapper(), held_out)
-        lexical = evaluate_static_tool(FlawfinderScanner(), held_out)
-        dataflow = evaluate_static_tool(CheckmarxScanner(), held_out)
+        labels = [1 if case.vulnerable else 0 for case in held_out]
+
+        def program_metrics(tool):
+            return StaticToolDetector(tool).predict(
+                held_out, RunContext.create()).metrics(labels)
+
+        learned = program_metrics(Wrapper())
+        lexical = program_metrics(FlawfinderScanner())
+        dataflow = program_metrics(CheckmarxScanner())
         assert learned.f1 > lexical.f1
         assert learned.f1 > dataflow.f1
 
